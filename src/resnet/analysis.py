@@ -11,21 +11,19 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceededError, DisconnectedNetworkError
-from .exact import resistance_exact, resistance_matrix_exact
+from .errors import BudgetExceededError, DisconnectedNetworkError, MalformedNetworkError
+from .exact import _kron_reduce, resistance_exact, resistance_matrix_exact
 from .network import (
     ResistorNetwork,
     block_tower,
-    cartesian_product,
+    build_laplacian,
     fan,
     hypercube,
-    path,
 )
 from .spectra import (
     Spectrum,
@@ -135,19 +133,8 @@ def resistance_diameter(net: ResistorNetwork, mode: str = "exact") -> DiameterRe
     """
     if mode == "exact":
         table = resistance_matrix_exact(net)
-        verts = net.vertices
-        best = None
-        for i, u in enumerate(verts):
-            for v in verts[i + 1 :]:
-                r = table[u, v]
-                if best is None or r > best:
-                    best = r
-        pairs = tuple(
-            (u, v)
-            for i, u in enumerate(verts)
-            for v in verts[i + 1 :]
-            if table[u, v] == best
-        )
+        best = max((r for _, r in table.items()), default=None)
+        pairs = tuple(pair for pair, r in table.items() if r == best)
     elif mode == "spectral":
         spec = network_spectrum(net)
         kernel = _kernel_mask(spec.values)
@@ -162,7 +149,6 @@ def resistance_diameter(net: ResistorNetwork, mode: str = "exact") -> DiameterRe
         cut = best - DIAMETER_TIE_RTOL * best
         uu, vv = np.nonzero(np.triu(rmat >= cut, k=1))
         pairs = tuple(zip((int(a) for a in uu), (int(b) for b in vv)))
-        verts = net.vertices
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if not pairs:
@@ -210,19 +196,31 @@ class ScanReport:
         return self.rows[-1].deviation
 
 
-def _tower_network(n: int, k: int) -> ResistorNetwork:
-    return cartesian_product(path(n), hypercube(k))
+def _tower_sweep(k: int, n_max: int, i: int, j: int) -> list[Fraction]:
+    """Exact R_n of the P_n x Q_k tower for n = 2..n_max in one pass.
 
-
-def _scan_value(args) -> tuple[int, object]:
-    n, k, pair, mode = args
-    side = 2**k
-    u = pair[0]
-    v = (n - 1) * side + pair[1]
-    if mode == "exact":
-        return n, resistance_exact(_tower_network(n, k), u, v)
-    spec = product_spectrum(path_spectrum(n), hypercube_spectrum(k))
-    return n, resistance_spectral(spec, u, v)
+    The front is the tower's Laplacian Kron-reduced onto the source (a1,b_i)
+    and the top layer; at n = 1 it is the bare hypercube, source included.
+    Each height appends a hypercube layer joined by unit rungs, eliminates
+    the old top layer except the source, and reads R_n = 1/g from a further
+    reduction onto the source and (a_n,b_j). Cost is linear in n_max.
+    """
+    block = build_laplacian(hypercube(k), exact=True)
+    side = len(block)
+    front, src = block, i
+    values = []
+    for _ in range(2, n_max + 1):
+        m = len(front)
+        a = [row + [Fraction(0)] * side for row in front]
+        a += [[Fraction(0)] * m + row for row in block]
+        for p in range(m - side, m):  # rung from p to p + side
+            a[p][p] += 1
+            a[p + side][p + side] += 1
+            a[p][p + side] = a[p + side][p] = Fraction(-1)
+        front = _kron_reduce(a, [src, *range(m, m + side)])
+        src = 0
+        values.append(-1 / _kron_reduce(front, [0, 1 + j])[0][1])
+    return values
 
 
 def conjecture_scan(
@@ -231,7 +229,6 @@ def conjecture_scan(
     pair: tuple[int, int] | None = None,
     mode: str = "exact",
     budget: int | None = None,
-    jobs: int = 1,
 ) -> ScanReport:
     """Corner resistance of the path-times-hypercube tower for n = 2..n_max.
 
@@ -242,9 +239,9 @@ def conjecture_scan(
     grinding.
     """
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise MalformedNetworkError("k must be at least 1")
     if n_max < 2:
-        raise ValueError("n_max must be at least 2")
+        raise MalformedNetworkError("n_max must be at least 2")
     if mode not in ("exact", "spectral"):
         raise ValueError(f"unknown mode {mode!r}")
     side = 2**k
@@ -252,24 +249,24 @@ def conjecture_scan(
         pair = (0, side - 1)
     i, j = pair
     if not (0 <= i < side and 0 <= j < side):
-        raise ValueError(f"pair ids must lie in [0, {side})")
+        raise MalformedNetworkError(f"pair ids must lie in [0, {side})")
     cap = DEFAULT_VERTEX_BUDGET if budget is None else budget
     if n_max * side > cap:
         raise BudgetExceededError(
             f"largest tower has {n_max * side} vertices, over the budget of {cap}"
         )
     ns = range(2, n_max + 1)
-    tasks = [(n, k, (i, j), mode) for n in ns]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            values = dict(pool.map(_scan_value, tasks))
+    if mode == "exact":
+        values = _tower_sweep(k, n_max, i, j)
     else:
-        values = dict(map(_scan_value, tasks))
+        values = []
+        for n in ns:
+            spec = product_spectrum(path_spectrum(n), hypercube_spectrum(k))
+            values.append(resistance_spectral(spec, i, (n - 1) * side + j))
     limit = Fraction(1, side)
     rows = []
     prev = None
-    for n in ns:
-        val = values[n]
+    for n, val in zip(ns, values):
         if prev is None:
             rows.append(ScanRow(n=n, value=val, diff=None, deviation=None))
         else:

@@ -62,6 +62,23 @@ _BUILDERS = {
 }
 
 
+# matched with isinstance, so a subclass such as ParseError takes its base's code
+_EXIT_CODES = {
+    MalformedNetworkError: 2,
+    DisconnectedNetworkError: 3,
+    SingularSystemError: 4,
+    ReductionError: 5,
+    BudgetExceededError: 6,
+}
+
+
+def _as_int(token: str, message: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise MalformedNetworkError(message) from None
+
+
 def _load_network(args) -> ResistorNetwork:
     if args.graph is not None:
         with open(args.graph, "rb") as fh:
@@ -76,13 +93,8 @@ def _load_network(args) -> ResistorNetwork:
         raise MalformedNetworkError(
             f"builder {name!r} takes {arity} argument(s), got {len(params)}"
         )
-    try:
-        values = [int(p) for p in params]
-    except ValueError:
-        raise MalformedNetworkError(
-            f"builder {name!r} arguments must be integers"
-        ) from None
-    return fn(*values)
+    msg = f"builder {name!r} arguments must be integers"
+    return fn(*(_as_int(p, msg) for p in params))
 
 
 def _add_source_args(sub, graph_only=False):
@@ -150,17 +162,18 @@ def cmd_scan(args) -> int:
         bits = args.pair.split(",")
         if len(bits) != 2:
             raise MalformedNetworkError("--pair wants two comma-separated ids")
-        pair = (int(bits[0]), int(bits[1]))
+        msg = f"--pair wants integer ids, got {args.pair!r}"
+        pair = tuple(_as_int(b, msg) for b in bits)
     budget = args.budget
     if budget is None:
-        budget = int(os.environ.get("RESNET_VERTEX_BUDGET", DEFAULT_VERTEX_BUDGET))
+        env = os.environ.get("RESNET_VERTEX_BUDGET", str(DEFAULT_VERTEX_BUDGET))
+        budget = _as_int(env, f"RESNET_VERTEX_BUDGET must be an integer, got {env!r}")
     report = conjecture_scan(
         k=args.k,
         n_max=args.max_n,
         pair=pair,
         mode=args.mode,
         budget=budget,
-        jobs=args.jobs,
     )
     if args.format == "csv":
         sys.stdout.write(scan_to_csv(report))
@@ -244,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", help="hypercube vertex ids i,j (default antipodal)")
     p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     p.add_argument("--mode", choices=("exact", "spectral"), default="exact")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.add_argument(
         "--budget",
         type=int,
@@ -267,21 +279,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except MalformedNetworkError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DisconnectedNetworkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SingularSystemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ReductionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

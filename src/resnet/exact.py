@@ -4,7 +4,8 @@ Rationals are stdlib ``fractions.Fraction``. One vertex is grounded, the
 remaining conductance matrix is LU-factored once, and each resistance query
 is a pair of triangular solves. Row pivoting prefers the candidate whose
 numerator plus denominator bit length is smallest, which keeps intermediate
-rationals from blowing up.
+rationals from blowing up. The same elimination loop, stopped early, gives
+the Kron reduction (Schur complement) of a Laplacian onto kept vertices.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .errors import (
     MalformedNetworkError,
     SingularSystemError,
 )
-from .network import ResistorNetwork
+from .network import ResistorNetwork, build_laplacian
 
 __all__ = [
     "GroundedSystem",
@@ -42,6 +43,58 @@ def _require_solvable(net: ResistorNetwork):
         )
 
 
+def _eliminate(a, stop: int, names) -> list[int]:
+    """Pivoted elimination of the leading ``stop`` rows of ``a``, in place.
+
+    Pivots come only from those rows and multipliers are stored below the
+    diagonal: with ``stop == len(a)`` this is an LU factorization, otherwise
+    the trailing block becomes the Schur complement of the leading one.
+    Returns the row permutation; ``names[k]`` names column k in errors.
+    """
+    n = len(a)
+    perm = list(range(n))
+    for k in range(stop):
+        best = -1
+        best_bits = 0
+        for i in range(k, stop):
+            p = a[i][k]
+            if p:
+                b = _bits(p)
+                if best < 0 or b < best_bits:
+                    best, best_bits = i, b
+        if best < 0:
+            raise SingularSystemError(
+                f"no usable pivot while eliminating vertex {names[k]}"
+            )
+        if best != k:
+            a[k], a[best] = a[best], a[k]
+            perm[k], perm[best] = perm[best], perm[k]
+        piv = a[k][k]
+        row_k = a[k]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            if not f:
+                continue
+            mult = f / piv
+            a[i][k] = mult
+            row_i = a[i]
+            for j in range(k + 1, n):
+                x = row_k[j]
+                if x:
+                    row_i[j] -= mult * x
+    return perm
+
+
+def _kron_reduce(lap, keep) -> list[list[Fraction]]:
+    """Kron reduction of ``lap`` onto indices ``keep``, rows in ``keep`` order."""
+    kept = set(keep)
+    order = [x for x in range(len(lap)) if x not in kept] + list(keep)
+    a = [[lap[r][c] for c in order] for r in order]
+    stop = len(order) - len(keep)
+    _eliminate(a, stop, order)
+    return [row[stop:] for row in a[stop:]]
+
+
 class GroundedSystem:
     """LU factorization of the conductance matrix with one vertex grounded."""
 
@@ -51,55 +104,11 @@ class GroundedSystem:
         self.ground = ground
         self.order = tuple(v for v in net.vertices if v != ground)
         self.index = {v: i for i, v in enumerate(self.order)}
-        n = len(self.order)
-        a = [[_ZERO] * n for _ in range(n)]
-        for e in net.edges:
-            g = 1 / e.r
-            iu = self.index.get(e.u)
-            iv = self.index.get(e.v)
-            if iu is not None:
-                a[iu][iu] += g
-            if iv is not None:
-                a[iv][iv] += g
-            if iu is not None and iv is not None:
-                a[iu][iv] -= g
-                a[iv][iu] -= g
-        self._factor(a)
-
-    def _factor(self, a):
-        n = len(a)
-        perm = list(range(n))
-        for k in range(n):
-            best = -1
-            best_bits = 0
-            for i in range(k, n):
-                p = a[i][k]
-                if p:
-                    b = _bits(p)
-                    if best < 0 or b < best_bits:
-                        best, best_bits = i, b
-            if best < 0:
-                raise SingularSystemError(
-                    f"no usable pivot while eliminating vertex {self.order[k]}"
-                )
-            if best != k:
-                a[k], a[best] = a[best], a[k]
-                perm[k], perm[best] = perm[best], perm[k]
-            piv = a[k][k]
-            row_k = a[k]
-            for i in range(k + 1, n):
-                f = a[i][k]
-                if not f:
-                    continue
-                mult = f / piv
-                a[i][k] = mult
-                row_i = a[i]
-                for j in range(k + 1, n):
-                    x = row_k[j]
-                    if x:
-                        row_i[j] -= mult * x
+        gi = net.vertices.index(ground)
+        lap = build_laplacian(net, exact=True)
+        a = [row[:gi] + row[gi + 1 :] for i, row in enumerate(lap) if i != gi]
+        self._perm = _eliminate(a, len(a), self.order)
         self._lu = a
-        self._perm = perm
 
     def solve(self, rhs: dict[int, Fraction]) -> dict[int, Fraction]:
         """Solve for node potentials; rhs and result are keyed by vertex id.
@@ -174,23 +183,26 @@ def resistance_exact(
     return x.get(u, _ZERO) - x.get(v, _ZERO)
 
 
+def _subset_table(net: ResistorNetwork, subset) -> dict:
+    """Exact resistances between the vertices of ``subset``, in pair order.
+
+    Factors once, grounded at ``subset[0]``, and solves once per other vertex
+    v for the potentials x[v] of a unit current into v (zero at the ground):
+    R(u, v) = x[u][u] + x[v][v] - 2 x[v][u].
+    """
+    _require_solvable(net)
+    if len(subset) < 2:
+        return {}
+    sys = GroundedSystem(net, subset[0])
+    x = {subset[0]: {}}
+    x.update((v, sys.solve({v: Fraction(1)})) for v in subset[1:])
+    return {
+        (u, v): x[u].get(u, _ZERO) + x[v].get(v, _ZERO) - 2 * x[v].get(u, _ZERO)
+        for i, u in enumerate(subset)
+        for v in subset[i + 1 :]
+    }
+
+
 def resistance_matrix_exact(net: ResistorNetwork) -> ResistanceTable:
     """All-pairs resistance from a single factorization plus n-1 solves."""
-    _require_solvable(net)
-    ground = net.vertices[0]
-    sys = GroundedSystem(net, ground)
-    cols = {v: sys.solve({v: Fraction(1)}) for v in sys.order}
-    values = {}
-    verts = net.vertices
-    for i, u in enumerate(verts):
-        for v in verts[i + 1 :]:
-            muu = cols[u][u] if u != ground else _ZERO
-            mvv = cols[v][v] if v != ground else _ZERO
-            if u == ground:
-                muv = _ZERO
-            elif v == ground:
-                muv = _ZERO
-            else:
-                muv = cols[v][u]
-            values[(u, v)] = muu + mvv - 2 * muv
-    return ResistanceTable(verts, values)
+    return ResistanceTable(net.vertices, _subset_table(net, net.vertices))

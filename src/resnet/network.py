@@ -47,7 +47,7 @@ def _as_weight(r):
         raise MalformedNetworkError(f"bad resistance {r!r}")
     if isinstance(r, int):
         return Fraction(r)
-    if isinstance(r, (Fraction, float)):
+    if isinstance(r, Fraction) or (isinstance(r, float) and np.isfinite(r)):
         return r
     raise MalformedNetworkError(f"bad resistance {r!r}")
 

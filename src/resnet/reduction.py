@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ReductionError
-from .exact import resistance_matrix_exact
-from .network import Edge, ResistorNetwork, fan
+from .exact import _subset_table
+from .network import Edge, ResistorNetwork, _weight_str, fan
 
 __all__ = [
     "ReductionStep",
@@ -350,13 +350,7 @@ def substitute_bipartite_star(net, xs, ys) -> ReductionStep:
 
 def terminal_table(net, terminals) -> dict:
     """Exact pairwise resistances over the terminal set."""
-    terminals = tuple(sorted(terminals))
-    table = resistance_matrix_exact(net)
-    return {
-        (u, v): table[u, v]
-        for i, u in enumerate(terminals)
-        for v in terminals[i + 1 :]
-    }
+    return _subset_table(net, tuple(sorted(terminals)))
 
 
 def _next_step(net, terminals, use_delta_y):
@@ -518,14 +512,8 @@ def fan_chain_reduce(n: int, m: int, certify: bool = False) -> FanChainReduction
 # trace export
 # ---------------------------------------------------------------------------
 
-def _num_str(r) -> str:
-    if isinstance(r, float):
-        r = Fraction(r)
-    return str(r)
-
-
 def _edge_obj(e: Edge):
-    return [e.u, e.v, _num_str(e.r), e.gadget]
+    return [e.u, e.v, _weight_str(e.r), e.gadget]
 
 
 def _net_obj(net: ResistorNetwork):
@@ -559,7 +547,7 @@ def trace_to_json(trace: ReductionTrace) -> str:
     }
     if trace.certificates is not None:
         obj["certificates"] = [
-            {f"{u},{v}": _num_str(r) for (u, v), r in table.items()}
+            {f"{u},{v}": _weight_str(r) for (u, v), r in table.items()}
             for table in trace.certificates
         ]
     return json.dumps(obj, indent=2)
@@ -577,7 +565,7 @@ def trace_to_text(trace: ReductionTrace) -> str:
             bits.append(f"+v{list(s.added_vertices)}")
         bits.append(f"-e{[f'{e.u}-{e.v}' for e in s.removed_edges]}")
         bits.append(
-            f"+e{[f'{e.u}-{e.v}({_num_str(e.r)})' for e in s.added_edges]}"
+            f"+e{[f'{e.u}-{e.v}({_weight_str(e.r)})' for e in s.added_edges]}"
         )
         lines.append(" ".join(bits))
     lines.append(

@@ -147,10 +147,22 @@ def test_scan_respects_budget():
         conjecture_scan(2, 30, budget=100)
 
 
-def test_scan_parallel_jobs_match_serial():
-    serial = conjecture_scan(1, 8)
-    parallel = conjecture_scan(1, 8, jobs=2)
-    assert serial == parallel
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_scan_rows_match_rebuilt_towers(k):
+    # the layer sweep against a fresh solve of each whole tower
+    side = 2**k
+    for pair in (None, (0, 1), (side - 1, side // 2)):
+        report = conjecture_scan(k, 6, pair=pair)
+        i, j = report.pair
+        prev = None
+        for row in report.rows:
+            tower = cartesian_product(path(row.n), hypercube(k))
+            want = resistance_exact(tower, i, (row.n - 1) * side + j)
+            assert row.value == want, (k, pair, row.n)
+            if prev is not None:
+                assert row.diff == want - prev
+                assert row.deviation == abs(want - prev - Fraction(1, side))
+            prev = want
 
 
 def test_scan_custom_pair():

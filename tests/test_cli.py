@@ -163,6 +163,25 @@ def test_scan_budget_flag_beats_env(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["--k", "2", "--max-n", "4", "--pair", "a,b"],
+    ["--k", "2", "--max-n", "4", "--pair", "0,9"],
+    ["--k", "0", "--max-n", "4"],
+    ["--k", "2", "--max-n", "1"],
+])
+def test_scan_malformed_arguments_exit_2(capsys, argv):
+    code, out, err = run(capsys, "scan", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_scan_non_integer_budget_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("RESNET_VERTEX_BUDGET", "lots")
+    code, _, err = run(capsys, "scan", "--k", "2", "--max-n", "4")
+    assert code == 2
+    assert err == "error: RESNET_VERTEX_BUDGET must be an integer, got 'lots'\n"
+
+
 def test_scan_outputs_byte_identical(capsys):
     _, first, _ = run(capsys, "scan", "--k", "2", "--max-n", "6", "--format", "csv")
     _, second, _ = run(capsys, "scan", "--k", "2", "--max-n", "6", "--format", "csv")

@@ -19,6 +19,9 @@ from resnet import (
     resistance_matrix_exact,
 )
 
+from resnet.exact import _kron_reduce
+from resnet.network import build_laplacian
+
 from _oracles import pinv_resistance, random_connected_network
 
 
@@ -109,6 +112,28 @@ def test_cancelled_gadget_pair_is_singular():
     )
     with pytest.raises(SingularSystemError):
         resistance_exact(net, 0, 1)
+
+
+def test_kron_reduction_keeps_pair_resistance():
+    rng = random.Random(23)
+    for _ in range(20):
+        net = random_connected_network(rng)
+        lap = build_laplacian(net, exact=True)
+        keep = rng.sample(range(net.n), min(3, net.n))
+        reduced = _kron_reduce(lap, keep)
+        assert all(sum(row) == 0 for row in reduced)
+        assert reduced == [list(col) for col in zip(*reduced)]
+        u, v = keep[:2]
+        g = -_kron_reduce(lap, [u, v])[0][1]
+        assert 1 / g == resistance_exact(net, u, v)
+        assert float(1 / g) == pytest.approx(pinv_resistance(net, u, v), abs=1e-9)
+
+
+def test_kron_reduction_zero_pivot_is_singular():
+    # vertex 1 carries +1 and -1 conductance, so its pivot cancels to zero
+    net = ResistorNetwork((0, 1, 2), (Edge(0, 1, 1), Edge(1, 2, -1, gadget=True)))
+    with pytest.raises(SingularSystemError):
+        _kron_reduce(build_laplacian(net, exact=True), [0, 2])
 
 
 def test_grounded_system_solves_kirchhoff():

@@ -53,6 +53,14 @@ def test_edge_negative_needs_gadget_flag():
     assert e.conductance == -4
 
 
+@pytest.mark.parametrize("r", [float("nan"), float("inf"), float("-inf")])
+def test_edge_rejects_non_finite_resistance(r):
+    with pytest.raises(MalformedNetworkError):
+        Edge(0, 1, r, gadget=True)
+    with pytest.raises(MalformedNetworkError):
+        ResistorNetwork.build(2, [(0, 1, r)])
+
+
 # --- ResistorNetwork ---
 
 def test_build_from_vertex_count():
