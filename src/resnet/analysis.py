@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceededError, DisconnectedNetworkError, MalformedNetworkError
+from .errors import BudgetExceededError, MalformedNetworkError
 from .exact import _kron_reduce, resistance_exact, resistance_matrix_exact
 from .network import (
     ResistorNetwork,
@@ -27,11 +27,10 @@ from .network import (
 )
 from .spectra import (
     Spectrum,
-    _kernel_mask,
+    _nonkernel,
     hypercube_spectrum,
     network_spectrum,
     path_spectrum,
-    product_spectrum,
     resistance_spectral,
 )
 
@@ -57,17 +56,6 @@ __all__ = [
 
 DEFAULT_VERTEX_BUDGET = 4096
 DIAMETER_TIE_RTOL = 1e-9
-
-
-def _nonkernel(spec: Spectrum):
-    kernel = _kernel_mask(spec.values)
-    if int(kernel.sum()) != 1:
-        raise DisconnectedNetworkError(
-            "factor spectrum has a repeated zero eigenvalue; "
-            "the underlying network is not connected"
-        )
-    keep = ~kernel
-    return spec.values[keep], spec.vectors[keep]
 
 
 def product_resistance(
@@ -136,13 +124,8 @@ def resistance_diameter(net: ResistorNetwork, mode: str = "exact") -> DiameterRe
         best = max((r for _, r in table.items()), default=None)
         pairs = tuple(pair for pair, r in table.items() if r == best)
     elif mode == "spectral":
-        spec = network_spectrum(net)
-        kernel = _kernel_mask(spec.values)
-        if int(kernel.sum()) != 1:
-            raise DisconnectedNetworkError("network is not connected")
-        keep = ~kernel
-        vecs = spec.vectors[keep]
-        gram = vecs.T @ (vecs / spec.values[keep, None])
+        vals, vecs = _nonkernel(network_spectrum(net))
+        gram = vecs.T @ (vecs / vals[:, None])
         d = np.diag(gram)
         rmat = d[:, None] + d[None, :] - 2.0 * gram
         best = float(np.max(rmat))
@@ -152,7 +135,7 @@ def resistance_diameter(net: ResistorNetwork, mode: str = "exact") -> DiameterRe
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if not pairs:
-        raise ValueError("network has no vertex pair")
+        raise MalformedNetworkError("network has no vertex pair")
     label_pairs = tuple(
         (net.label_of(u), net.label_of(v)) for u, v in pairs
     )
@@ -259,10 +242,13 @@ def conjecture_scan(
     if mode == "exact":
         values = _tower_sweep(k, n_max, i, j)
     else:
-        values = []
-        for n in ns:
-            spec = product_spectrum(path_spectrum(n), hypercube_spectrum(k))
-            values.append(resistance_spectral(spec, i, (n - 1) * side + j))
+        # the unit path's corner-to-corner resistance is exactly n - 1
+        cube = hypercube_spectrum(k)
+        r_cube = resistance_spectral(cube, i, j)
+        values = [
+            product_resistance(path_spectrum(n), cube, n - 1, r_cube, 0, i, n - 1, j)
+            for n in ns
+        ]
     limit = Fraction(1, side)
     rows = []
     prev = None
@@ -271,7 +257,7 @@ def conjecture_scan(
             rows.append(ScanRow(n=n, value=val, diff=None, deviation=None))
         else:
             diff = val - prev
-            dev = abs(diff - limit) if mode == "exact" else abs(diff - float(limit))
+            dev = abs(diff - limit)
             rows.append(ScanRow(n=n, value=val, diff=diff, deviation=dev))
         prev = val
     return ScanReport(k=k, pair=(i, j), mode=mode, limit=limit, rows=tuple(rows))
@@ -375,13 +361,7 @@ def fan_bounds(n: int, m: int) -> FanBounds:
 # ---------------------------------------------------------------------------
 
 def _cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+    return "" if x is None else str(x)
 
 
 def _jcell(x):

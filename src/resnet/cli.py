@@ -97,17 +97,16 @@ def _load_network(args) -> ResistorNetwork:
     return fn(*(_as_int(p, msg) for p in params))
 
 
-def _add_source_args(sub, graph_only=False):
+def _add_source_args(sub):
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--graph", metavar="FILE", help="network file to load")
-    if not graph_only:
-        group.add_argument(
-            "--builder",
-            nargs="+",
-            metavar=("NAME", "ARG"),
-            help="named family plus integer parameters, "
-            "e.g. --builder hypercube 3",
-        )
+    group.add_argument(
+        "--builder",
+        nargs="+",
+        metavar=("NAME", "ARG"),
+        help="named family plus integer parameters, "
+        "e.g. --builder hypercube 3",
+    )
 
 
 def _resolve_vertex(net: ResistorNetwork, token: str) -> int:

@@ -161,6 +161,19 @@ def _kernel_mask(values: np.ndarray) -> np.ndarray:
     return np.abs(values) < _KERNEL_TOL * scale
 
 
+def _nonkernel(spec: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero eigenvalues and their eigenvectors; the kernel must be simple."""
+    kernel = _kernel_mask(spec.values)
+    nzero = int(kernel.sum())
+    if nzero != 1:
+        raise DisconnectedNetworkError(
+            f"spectrum has {nzero} zero eigenvalues; effective resistance "
+            "needs exactly one"
+        )
+    keep = ~kernel
+    return spec.values[keep], spec.vectors[keep]
+
+
 def _orthonormalize_kernel(values: np.ndarray, vectors: np.ndarray) -> None:
     """Rotate the zero eigenspace so the constant vector sits last in it.
 
@@ -228,14 +241,6 @@ def resistance_spectral(spec: Spectrum, u: int, v: int) -> float:
         raise ValueError(f"vertex pair ({u}, {v}) out of range for n={n}")
     if u == v:
         return 0.0
-    kernel = _kernel_mask(spec.values)
-    nzero = int(kernel.sum())
-    if nzero != 1:
-        raise DisconnectedNetworkError(
-            f"spectrum has {nzero} zero eigenvalues; effective resistance "
-            "needs exactly one"
-        )
-    keep = ~kernel
-    vals = spec.values[keep]
-    diffs = spec.vectors[keep, u] - spec.vectors[keep, v]
+    vals, vecs = _nonkernel(spec)
+    diffs = vecs[:, u] - vecs[:, v]
     return float(np.sum(diffs * diffs / vals))

@@ -135,11 +135,14 @@ def test_scan_diffs_positive_and_devs_shrink():
     assert report.limit == Fraction(1, 4)
 
 
-def test_scan_spectral_mode_tracks_exact():
-    ex = conjecture_scan(2, 8, mode="exact")
-    sp = conjecture_scan(2, 8, mode="spectral")
-    for a, b in zip(ex.rows, sp.rows):
-        assert b.value == pytest.approx(float(a.value), abs=1e-9)
+@pytest.mark.parametrize("k,n_max", [(1, 16), (2, 12), (3, 10), (4, 8), (5, 6)])
+def test_scan_spectral_mode_tracks_exact(k, n_max):
+    side = 2**k
+    for pair in (None, (0, 1), (side - 1, side // 2)):
+        ex = conjecture_scan(k, n_max, pair=pair, mode="exact")
+        sp = conjecture_scan(k, n_max, pair=pair, mode="spectral")
+        for a, b in zip(ex.rows, sp.rows):
+            assert b.value == pytest.approx(float(a.value), abs=1e-9)
 
 
 def test_scan_respects_budget():

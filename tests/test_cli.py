@@ -59,11 +59,15 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert code == 2 and "line 1" in err
 
 
-def test_disconnected_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("mode", ["exact", "spectral"])
+@pytest.mark.parametrize("command", ["resistance", "diameter"])
+def test_disconnected_exits_3(tmp_path, capsys, command, mode):
     f = tmp_path / "disc.txt"
     f.write_text("0 1 1\n2 3 1\n")
-    code, _, _ = run(capsys, "resistance", "--graph", str(f), "--u", "0", "--v", "3")
+    pair = ["--u", "0", "--v", "3"] if command == "resistance" else []
+    code, _, err = run(capsys, command, "--graph", str(f), *pair, "--mode", mode)
     assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_singular_exits_4(tmp_path, capsys):
@@ -211,6 +215,13 @@ def test_diameter_path_single_pair(capsys):
     code, out, _ = run(capsys, "diameter", "--builder", "path", "3")
     assert code == 0 and out.splitlines()[0] == "D_r = 2"
     assert len(out.splitlines()) == 2
+
+
+@pytest.mark.parametrize("mode", ["exact", "spectral"])
+def test_diameter_one_vertex_exits_2(capsys, mode):
+    code, out, err = run(capsys, "diameter", "--builder", "path", "1", "--mode", mode)
+    assert code == 2 and out == ""
+    assert err == "error: network has no vertex pair\n"
 
 
 def test_unknown_builder_exits_2(capsys):
