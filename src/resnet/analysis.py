@@ -17,11 +17,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceededError, MalformedNetworkError
-from .exact import _kron_reduce, resistance_exact, resistance_matrix_exact
+from .exact import _conductances, _eliminate, resistance_exact, resistance_matrix_exact
 from .network import (
     ResistorNetwork,
     block_tower,
-    build_laplacian,
     fan,
     hypercube,
 )
@@ -182,27 +181,26 @@ class ScanReport:
 def _tower_sweep(k: int, n_max: int, i: int, j: int) -> list[Fraction]:
     """Exact R_n of the P_n x Q_k tower for n = 2..n_max in one pass.
 
-    The front is the tower's Laplacian Kron-reduced onto the source (a1,b_i)
-    and the top layer; at n = 1 it is the bare hypercube, source included.
-    Each height appends a hypercube layer joined by unit rungs, eliminates
-    the old top layer except the source, and reads R_n = 1/g from a further
-    reduction onto the source and (a_n,b_j). Cost is linear in n_max.
+    The front is a conductance map on ids l * 2**k + x (layer l, hypercube
+    vertex x), Kron-reduced onto the source (a1,b_i) and the top layer; at
+    n = 1 it is the bare hypercube, source included. Each height adds a
+    hypercube layer joined by unit rungs, eliminates the old top layer
+    except the source, and reads R_n = 1/g from a copy of the front reduced
+    onto the source and (a_n,b_j). Cost is linear in n_max.
     """
-    block = build_laplacian(hypercube(k), exact=True)
-    side = len(block)
-    front, src = block, i
+    cube = _conductances(hypercube(k))
+    side = len(cube)
+    front = {x: dict(arms) for x, arms in cube.items()}
     values = []
-    for _ in range(2, n_max + 1):
-        m = len(front)
-        a = [row + [Fraction(0)] * side for row in front]
-        a += [[Fraction(0)] * m + row for row in block]
-        for p in range(m - side, m):  # rung from p to p + side
-            a[p][p] += 1
-            a[p + side][p + side] += 1
-            a[p][p + side] = a[p + side][p] = Fraction(-1)
-        front = _kron_reduce(a, [src, *range(m, m + side)])
-        src = 0
-        values.append(-1 / _kron_reduce(front, [0, 1 + j])[0][1])
+    for top in range(side, n_max * side, side):
+        for x, arms in cube.items():
+            new, old = top + x, top - side + x
+            front[new] = {top + y: g for y, g in arms.items()}
+            front[new][old] = front[old][new] = Fraction(1)
+        _eliminate(front, (v for v in range(top - side, top) if v != i))
+        pair = {v: dict(arms) for v, arms in front.items()}
+        _eliminate(pair, (v for v in front if v not in (i, top + j)))
+        values.append(1 / pair[i][top + j])
     return values
 
 

@@ -1,15 +1,17 @@
-"""Exact effective resistance by rational elimination of the grounded system.
+"""Exact effective resistance by star-mesh elimination of a conductance map.
 
-Rationals are stdlib ``fractions.Fraction``. One vertex is grounded, the
-remaining conductance matrix is LU-factored once, and each resistance query
-is a pair of triangular solves. Row pivoting prefers the candidate whose
-numerator plus denominator bit length is smallest, which keeps intermediate
-rationals from blowing up. The same elimination loop, stopped early, gives
-the Kron reduction (Schur complement) of a Laplacian onto kept vertices.
+Rationals are stdlib ``fractions.Fraction``. A network is held as a sparse
+map ``{v: {w: conductance}}``, and one routine eliminates vertices from it:
+least degree first (minimum-degree order), each step joining the eliminated
+vertex's neighbours pairwise (star-mesh, i.e. Kron reduction). Eliminating
+all but the ground vertex factors the grounded system once, and each
+resistance query replays the recorded steps forward and back; stopping
+short leaves the Kron reduction onto the kept vertices.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +20,7 @@ from .errors import (
     MalformedNetworkError,
     SingularSystemError,
 )
-from .network import ResistorNetwork, build_laplacian
+from .network import ResistorNetwork
 
 __all__ = [
     "GroundedSystem",
@@ -30,10 +32,6 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
-def _bits(x: Fraction) -> int:
-    return x.numerator.bit_length() + x.denominator.bit_length()
-
-
 def _require_solvable(net: ResistorNetwork):
     if not net.all_rational:
         raise MalformedNetworkError("exact solver requires rational resistances")
@@ -43,72 +41,73 @@ def _require_solvable(net: ResistorNetwork):
         )
 
 
-def _eliminate(a, stop: int, names) -> list[int]:
-    """Pivoted elimination of the leading ``stop`` rows of ``a``, in place.
+def _conductances(net: ResistorNetwork) -> dict[int, dict[int, Fraction]]:
+    """``{v: {w: g}}``, the summed conductance between adjacent vertices.
 
-    Pivots come only from those rows and multipliers are stored below the
-    diagonal: with ``stop == len(a)`` this is an LU factorization, otherwise
-    the trailing block becomes the Schur complement of the leading one.
-    Returns the row permutation; ``names[k]`` names column k in errors.
+    Parallel edges add, and a pair whose sum cancels to zero is dropped.
     """
-    n = len(a)
-    perm = list(range(n))
-    for k in range(stop):
-        best = -1
-        best_bits = 0
-        for i in range(k, stop):
-            p = a[i][k]
-            if p:
-                b = _bits(p)
-                if best < 0 or b < best_bits:
-                    best, best_bits = i, b
-        if best < 0:
+    if not net.all_rational:
+        raise MalformedNetworkError("exact solver requires rational resistances")
+    g = {v: {} for v in net.vertices}
+    for e in net.edges:
+        _link(g, e.u, e.v, g[e.u].get(e.v, _ZERO) + 1 / e.r)
+    return g
+
+
+def _link(g, a: int, b: int, c: Fraction) -> None:
+    """Set the a-b conductance to c, dropping the pair when c is zero."""
+    if c:
+        g[a][b] = g[b][a] = c
+    else:
+        g[a].pop(b, None)
+        g[b].pop(a, None)
+
+
+def _eliminate(g, doomed) -> list[tuple[int, Fraction, dict[int, Fraction]]]:
+    """Star-mesh elimination of the ``doomed`` vertices of ``g``, in place.
+
+    Each step takes the vertex of least degree (then smallest id) whose
+    conductance sum, the pivot, is nonzero, and joins every pair of its
+    neighbours a, b by g_va * g_vb / pivot. What is left in ``g`` is the Kron
+    reduction onto the kept vertices. Returns the steps as
+    ``(v, pivot, arms)``, ``arms`` being v's neighbours when it went.
+    """
+    left = set(doomed)
+    steps = []
+    while left:
+        heap = [(len(g[w]), w) for w in left]
+        heapq.heapify(heap)
+        while heap:
+            v = heapq.heappop(heap)[1]
+            pivot = sum(g[v].values())
+            if pivot:
+                break
+        else:
             raise SingularSystemError(
-                f"no usable pivot while eliminating vertex {names[k]}"
+                f"no usable pivot while eliminating vertex {min(left)}"
             )
-        if best != k:
-            a[k], a[best] = a[best], a[k]
-            perm[k], perm[best] = perm[best], perm[k]
-        piv = a[k][k]
-        row_k = a[k]
-        for i in range(k + 1, n):
-            f = a[i][k]
-            if not f:
-                continue
-            mult = f / piv
-            a[i][k] = mult
-            row_i = a[i]
-            for j in range(k + 1, n):
-                x = row_k[j]
-                if x:
-                    row_i[j] -= mult * x
-    return perm
-
-
-def _kron_reduce(lap, keep) -> list[list[Fraction]]:
-    """Kron reduction of ``lap`` onto indices ``keep``, rows in ``keep`` order."""
-    kept = set(keep)
-    order = [x for x in range(len(lap)) if x not in kept] + list(keep)
-    a = [[lap[r][c] for c in order] for r in order]
-    stop = len(order) - len(keep)
-    _eliminate(a, stop, order)
-    return [row[stop:] for row in a[stop:]]
+        left.remove(v)
+        arms = g.pop(v)
+        items = list(arms.items())
+        for x, (a, ga) in enumerate(items):
+            del g[a][v]
+            f = ga / pivot
+            for b, gb in items[x + 1 :]:
+                _link(g, a, b, g[a].get(b, _ZERO) + f * gb)
+        steps.append((v, pivot, arms))
+    return steps
 
 
 class GroundedSystem:
-    """LU factorization of the conductance matrix with one vertex grounded."""
+    """Star-mesh elimination of every vertex but the ground, kept for solves."""
 
     def __init__(self, net: ResistorNetwork, ground: int):
         if ground not in net._adj:
             raise MalformedNetworkError(f"unknown ground vertex {ground}")
         self.ground = ground
-        self.order = tuple(v for v in net.vertices if v != ground)
-        self.index = {v: i for i, v in enumerate(self.order)}
-        gi = net.vertices.index(ground)
-        lap = build_laplacian(net, exact=True)
-        a = [row[:gi] + row[gi + 1 :] for i, row in enumerate(lap) if i != gi]
-        self._perm = _eliminate(a, len(a), self.order)
-        self._lu = a
+        self._steps = _eliminate(
+            _conductances(net), (v for v in net.vertices if v != ground)
+        )
 
     def solve(self, rhs: dict[int, Fraction]) -> dict[int, Fraction]:
         """Solve for node potentials; rhs and result are keyed by vertex id.
@@ -116,29 +115,23 @@ class GroundedSystem:
         The ground vertex is held at potential zero and must not appear in
         the rhs.
         """
-        lu = self._lu
-        n = len(lu)
-        b = [_ZERO] * n
-        for v, val in rhs.items():
-            b[self.index[v]] = val
-        b = [b[p] for p in self._perm]
-        for k in range(n):
-            bk = b[k]
-            if not bk:
-                continue
-            for i in range(k + 1, n):
-                f = lu[i][k]
-                if f:
-                    b[i] -= f * bk
-        for k in range(n - 1, -1, -1):
-            row = lu[k]
-            acc = b[k]
-            for j in range(k + 1, n):
-                x = b[j]
-                if x:
-                    acc -= row[j] * x
-            b[k] = acc / row[k]
-        return {v: b[i] for v, i in self.index.items()}
+        b = dict(rhs)
+        for v, pivot, arms in self._steps:
+            bv = b.get(v)
+            if bv:
+                f = bv / pivot
+                for a, ga in arms.items():
+                    b[a] = b.get(a, _ZERO) + ga * f
+        x = {self.ground: _ZERO}
+        for v, pivot, arms in reversed(self._steps):
+            acc = b.get(v, _ZERO)
+            for a, ga in arms.items():
+                xa = x[a]
+                if xa:
+                    acc += ga * xa
+            x[v] = acc / pivot
+        del x[self.ground]
+        return x
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ __all__ = [
     "parallel_reduce",
     "delta_y",
     "eliminate_block",
-    "eligible_blocks",
     "substitute_bipartite_star",
     "greedy_reduce",
     "fan_chain_reduce",

@@ -170,6 +170,8 @@ def _nonkernel(spec: Spectrum) -> tuple[np.ndarray, np.ndarray]:
             f"spectrum has {nzero} zero eigenvalues; effective resistance "
             "needs exactly one"
         )
+    if kernel[-1]:  # where every positive semidefinite spectrum puts it: no copy
+        return spec.values[:-1], spec.vectors[:-1]
     keep = ~kernel
     return spec.values[keep], spec.vectors[keep]
 

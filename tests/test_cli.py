@@ -77,6 +77,17 @@ def test_singular_exits_4(tmp_path, capsys):
     assert code == 4
 
 
+def test_zero_pivot_everywhere_exits_4(tmp_path, capsys):
+    # every vertex but the ground (2) has a zero conductance sum, so the
+    # symmetric star-mesh elimination finds no pivot; no 2x2 pivot is tried
+    f = tmp_path / "zero_pivots.txt"
+    f.write_text("0 1 -1 gadget\n0 2 1\n1 2 1\n")
+    code, out, err = run(capsys, "resistance", "--graph", str(f),
+                         "--u", "0", "--v", "2")
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_same_vertex_exits_2(capsys):
     code, _, _ = run(capsys, "resistance", "--builder", "path", "3",
                      "--u", "1", "--v", "1")

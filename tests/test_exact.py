@@ -19,8 +19,7 @@ from resnet import (
     resistance_matrix_exact,
 )
 
-from resnet.exact import _kron_reduce
-from resnet.network import build_laplacian
+from resnet.exact import _conductances, _eliminate
 
 from _oracles import pinv_resistance, random_connected_network
 
@@ -58,10 +57,18 @@ def test_same_vertex_is_zero():
 
 
 def test_ground_choice_does_not_matter():
-    net = random_connected_network(random.Random(7), max_n=7)
-    want = resistance_exact(net, 0, 1)
-    for g in net.vertices:
-        assert resistance_exact(net, 0, 1, ground=g) == want
+    dense = random_connected_network(random.Random(7), max_n=7)
+    # the same network on ids with holes, such as reductions leave
+    ids = (0, 3, 7, 8, 12, 20, 31)
+    holes = ResistorNetwork(
+        ids[: dense.n], tuple(Edge(ids[e.u], ids[e.v], e.r) for e in dense.edges)
+    )
+    for net in (dense, holes):
+        u, v = net.vertices[:2]
+        want = resistance_exact(net, u, v)
+        assert float(want) == pytest.approx(pinv_resistance(net, u, v), abs=1e-9)
+        for g in net.vertices:
+            assert resistance_exact(net, u, v, ground=g) == want
 
 
 def test_matches_pinv_oracle_on_random_networks():
@@ -118,22 +125,28 @@ def test_kron_reduction_keeps_pair_resistance():
     rng = random.Random(23)
     for _ in range(20):
         net = random_connected_network(rng)
-        lap = build_laplacian(net, exact=True)
-        keep = rng.sample(range(net.n), min(3, net.n))
-        reduced = _kron_reduce(lap, keep)
-        assert all(sum(row) == 0 for row in reduced)
-        assert reduced == [list(col) for col in zip(*reduced)]
+        keep = rng.sample(net.vertices, min(3, net.n))
+        reduced = _conductances(net)
+        _eliminate(reduced, [w for w in net.vertices if w not in keep])
+        assert set(reduced) == set(keep)
+        assert all(reduced[b][a] == g for a in reduced for b, g in reduced[a].items())
         u, v = keep[:2]
-        g = -_kron_reduce(lap, [u, v])[0][1]
-        assert 1 / g == resistance_exact(net, u, v)
-        assert float(1 / g) == pytest.approx(pinv_resistance(net, u, v), abs=1e-9)
+        pair = _conductances(net)
+        _eliminate(pair, [w for w in net.vertices if w not in (u, v)])
+        assert 1 / pair[u][v] == resistance_exact(net, u, v)
+        assert float(1 / pair[u][v]) == pytest.approx(
+            pinv_resistance(net, u, v), abs=1e-9
+        )
+        # reducing the reduced map further lands on the same pair conductance
+        _eliminate(reduced, keep[2:])
+        assert reduced[u] == {v: pair[u][v]}
 
 
 def test_kron_reduction_zero_pivot_is_singular():
     # vertex 1 carries +1 and -1 conductance, so its pivot cancels to zero
     net = ResistorNetwork((0, 1, 2), (Edge(0, 1, 1), Edge(1, 2, -1, gadget=True)))
     with pytest.raises(SingularSystemError):
-        _kron_reduce(build_laplacian(net, exact=True), [0, 2])
+        _eliminate(_conductances(net), [1])
 
 
 def test_grounded_system_solves_kirchhoff():

@@ -26,7 +26,7 @@ from resnet import (
     resistance_exact,
     resistance_spectral,
 )
-from resnet.spectra import EIGEN_RESIDUAL_TOL, ORTHONORMALITY_TOL
+from resnet.spectra import EIGEN_RESIDUAL_TOL, ORTHONORMALITY_TOL, _nonkernel
 
 from _oracles import random_connected_network
 
@@ -58,6 +58,10 @@ def test_constant_vector_sits_last():
         last = spec.vectors[-1]
         assert np.allclose(last, last[0])
         assert last[0] > 0
+        # so a pair query reads the nonzero part without copying it
+        vals, vecs = _nonkernel(spec)
+        assert np.shares_memory(vals, spec.values)
+        assert np.shares_memory(vecs, spec.vectors)
 
 
 def test_cycle4_pinned_basis():
