@@ -114,9 +114,9 @@ class DiameterReport:
 def resistance_diameter(net: ResistorNetwork, mode: str = "exact") -> DiameterReport:
     """All-pairs maximum resistance with its complete tie set.
 
-    Exact mode compares rationals, so ties are genuine equalities. Spectral
-    mode works in floats and admits into the tie set any pair within a
-    1e-9 relative band of the maximum.
+    Pairs are vertex ids in both modes. Exact mode compares rationals, so
+    ties are genuine equalities. Spectral mode works in floats and admits
+    into the tie set any pair within a 1e-9 relative band of the maximum.
     """
     if mode == "exact":
         table = resistance_matrix_exact(net)
@@ -130,7 +130,7 @@ def resistance_diameter(net: ResistorNetwork, mode: str = "exact") -> DiameterRe
         best = float(np.max(rmat))
         cut = best - DIAMETER_TIE_RTOL * best
         uu, vv = np.nonzero(np.triu(rmat >= cut, k=1))
-        pairs = tuple(zip((int(a) for a in uu), (int(b) for b in vv)))
+        pairs = tuple((net.vertices[a], net.vertices[b]) for a, b in zip(uu, vv))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if not pairs:

@@ -112,7 +112,7 @@ def _add_source_args(sub):
 def _resolve_vertex(net: ResistorNetwork, token: str) -> int:
     if token.lstrip("-").isdigit():
         vid = int(token)
-        if vid not in net.vertices:
+        if vid not in net.index:
             raise MalformedNetworkError(f"no vertex with id {vid}")
         return vid
     try:
@@ -131,7 +131,7 @@ def cmd_resistance(args) -> int:
         print(resistance_exact(net, u, v))
     else:
         spec = network_spectrum(net)
-        print(f"{resistance_spectral(spec, u, v):.15g}")
+        print(f"{resistance_spectral(spec, net.index[u], net.index[v]):.15g}")
     return 0
 
 

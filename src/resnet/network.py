@@ -1,11 +1,12 @@
 """Weighted resistor networks as immutable values.
 
 A network is a multigraph whose edges carry resistances. Vertex ids are
-nonnegative integers (dense ``0..n-1`` for anything produced by a builder or
-the parser; reductions may leave holes). Weights are exact
-``fractions.Fraction`` values wherever possible. Floats are tolerated so
-spectral code can consume measured data, but they are never silently
-converted back to rationals and the exact solver refuses them.
+nonnegative integers, kept as given: builders number ``0..n-1``, the parser
+keeps a file's ids, and reductions may leave holes. Row ``k`` of any matrix or
+spectrum is ``vertices[k]`` (sorted ids); ``index`` maps an id to its row.
+Weights are exact ``fractions.Fraction`` values wherever possible. Floats are
+tolerated so spectral code can consume measured data, but they are never
+silently converted back to rationals and the exact solver refuses them.
 
 Negative resistances model substitution gadgets and must be flagged
 ``gadget=True`` explicitly.
@@ -189,10 +190,10 @@ class ResistorNetwork:
     def all_rational(self) -> bool:
         return all(isinstance(e.r, Fraction) for e in self.edges)
 
-    @property
-    def is_canonical(self) -> bool:
-        """True when vertex ids are exactly 0..n-1."""
-        return self.vertices == tuple(range(self.n))
+    @cached_property
+    def index(self) -> dict[int, int]:
+        """Row of each vertex id in any matrix or spectrum of this network."""
+        return {v: k for k, v in enumerate(self.vertices)}
 
     def label_of(self, v: int) -> str:
         if self.labels and v in self.labels:
@@ -249,34 +250,38 @@ def complete_bipartite(m: int, n: int) -> ResistorNetwork:
     return ResistorNetwork.build(m + n, edges, labels)
 
 
-def _require_canonical(g: ResistorNetwork, op: str):
-    if not g.is_canonical:
-        raise MalformedNetworkError(f"{op} expects dense vertex ids 0..n-1")
+def _positional_edges(g: ResistorNetwork, shift: int = 0) -> list[Edge]:
+    """g's edges moved to their rows plus ``shift``; an edge already there is
+    reused, not validated again."""
+    row = g.index
+    out = ((e, row[e.u] + shift, row[e.v] + shift) for e in g.edges)
+    return [Edge(u, v, e.r, e.gadget) if u != e.u or v != e.v else e for e, u, v in out]
 
 
 def cartesian_product(g: ResistorNetwork, h: ResistorNetwork) -> ResistorNetwork:
     """Cartesian product; vertex (u, x) gets id u * |V(h)| + x (row-major).
 
-    Each g-edge is copied into every h-layer and vice versa, keeping its
+    u and x are the factors' rows (``index``), whatever their ids. Each
+    g-edge is copied into every h-layer and vice versa, keeping its
     resistance, so degrees add and edge counts are
     |E(g)|*|V(h)| + |E(h)|*|V(g)|.
     """
-    _require_canonical(g, "cartesian_product")
-    _require_canonical(h, "cartesian_product")
     m = h.n
+    row, h_edges = g.index, _positional_edges(h)
     edges = []
     for e in g.edges:
+        u, v = row[e.u] * m, row[e.v] * m
         for x in range(m):
-            edges.append(Edge(e.u * m + x, e.v * m + x, e.r, e.gadget))
+            edges.append(Edge(u + x, v + x, e.r, e.gadget))
     for u in range(g.n):
-        for e in h.edges:
+        for e in h_edges:
             edges.append(Edge(u * m + e.u, u * m + e.v, e.r, e.gadget))
     labels = None
     if g.labels or h.labels:
         labels = {
-            u * m + x: f"({g.label_of(u)},{h.label_of(x)})"
-            for u in range(g.n)
-            for x in range(m)
+            u * m + x: f"({g.label_of(a)},{h.label_of(b)})"
+            for u, a in enumerate(g.vertices)
+            for x, b in enumerate(h.vertices)
         }
     return ResistorNetwork.build(g.n * m, edges, labels)
 
@@ -284,18 +289,18 @@ def cartesian_product(g: ResistorNetwork, h: ResistorNetwork) -> ResistorNetwork
 def cone(g: ResistorNetwork, m: int) -> ResistorNetwork:
     """Attach an apex joined to every vertex of g by an edge of resistance 1/m.
 
-    The apex gets id n and label "b". m must be an integer larger than 1;
-    the apex-edge RESISTANCE is 1/m (so n parallel routes through the apex
-    between two g-vertices carry total conductance proportional to m).
+    g's vertices take their rows as ids; the apex gets id n and label "b".
+    m must be an integer larger than 1; the apex-edge RESISTANCE is 1/m (so
+    n parallel routes through the apex between two g-vertices carry total
+    conductance proportional to m).
     """
-    _require_canonical(g, "cone")
     if not isinstance(m, int) or m <= 1:
         raise MalformedNetworkError("cone needs an integer m > 1")
     apex = g.n
-    edges = list(g.edges) + [Edge(u, apex, Fraction(1, m)) for u in range(g.n)]
+    edges = _positional_edges(g) + [Edge(u, apex, Fraction(1, m)) for u in range(g.n)]
     labels = None
     if g.labels is not None:
-        labels = dict(g.labels)
+        labels = {g.index[v]: name for v, name in g.labels.items()}
         name = "b"
         while name in labels.values():
             name += "'"
@@ -306,17 +311,15 @@ def cone(g: ResistorNetwork, m: int) -> ResistorNetwork:
 def join(g: ResistorNetwork, h: ResistorNetwork) -> ResistorNetwork:
     """Disjoint union plus all unit cross edges; h-side ids shift by |V(g)|.
 
-    The h side is relabelled w1..wm so label tables never collide.
+    Ids are the factors' rows (``index``). The h side is relabelled w1..wm
+    so label tables never collide.
     """
-    _require_canonical(g, "join")
-    _require_canonical(h, "join")
     off = g.n
-    edges = list(g.edges)
-    edges += [Edge(off + e.u, off + e.v, e.r, e.gadget) for e in h.edges]
+    edges = _positional_edges(g) + _positional_edges(h, off)
     edges += [Edge(u, off + x, 1) for u in range(g.n) for x in range(h.n)]
     labels = None
     if g.labels is not None or h.labels is not None:
-        labels = {u: g.label_of(u) for u in range(g.n)}
+        labels = {u: g.label_of(v) for u, v in enumerate(g.vertices)}
         labels.update({off + x: f"w{x + 1}" for x in range(h.n)})
     return ResistorNetwork.build(g.n + h.n, edges, labels)
 
@@ -363,7 +366,7 @@ def fan(n: int, m: int) -> ResistorNetwork:
 def build_laplacian(net: ResistorNetwork, exact: bool | None = None):
     """Weighted Laplacian with conductances 1/r; parallel edges accumulate.
 
-    Row order follows ``net.vertices``. Returns a list-of-lists of Fraction
+    Row order follows ``net.index``. Returns a list-of-lists of Fraction
     in exact mode and a float ndarray otherwise; ``exact=None`` picks exact
     when every weight is rational. Row sums are exactly zero in exact mode.
     """
@@ -371,7 +374,7 @@ def build_laplacian(net: ResistorNetwork, exact: bool | None = None):
         exact = net.all_rational
     if exact and not net.all_rational:
         raise MalformedNetworkError("exact Laplacian requires rational resistances")
-    idx = {v: i for i, v in enumerate(net.vertices)}
+    idx = net.index
     n = net.n
     if exact:
         lap = [[Fraction(0)] * n for _ in range(n)]
@@ -416,14 +419,13 @@ def parse_network(text) -> ResistorNetwork:
 
     One record per line: ``u v r [gadget]`` with ``r`` a decimal or ``p/q``
     rational, or ``node ID LABEL`` to declare a labelled vertex. ``#``
-    starts a comment and blank lines are ignored. Sparse ids are remapped to
-    a dense 0..n-1 range in sorted order.
+    starts a comment and blank lines are ignored. Ids and labels are kept as
+    written, holes included.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     declared: dict[int, str] = {}
-    raw_edges: list[tuple[int, int, Fraction, bool, int]] = []
-    ids: set[int] = set()
+    edges: list[Edge] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -436,7 +438,6 @@ def parse_network(text) -> ResistorNetwork:
             if vid in declared:
                 raise ParseError(f"duplicate vertex declaration for {vid}", lineno)
             declared[vid] = tok[2]
-            ids.add(vid)
             continue
         if len(tok) not in (3, 4):
             raise ParseError(f"expected 'u v r [gadget]', got {line!r}", lineno)
@@ -456,15 +457,11 @@ def parse_network(text) -> ResistorNetwork:
             raise ParseError(
                 f"negative resistance on edge [{u}, {v}] without gadget flag", lineno
             )
-        raw_edges.append((u, v, r, gadget, lineno))
-        ids.add(u)
-        ids.add(v)
+        edges.append(Edge(u, v, r, gadget))
+    ids = {*declared, *(w for e in edges for w in (e.u, e.v))}
     if not ids:
         raise ParseError("empty network", None)
-    remap = {vid: i for i, vid in enumerate(sorted(ids))}
-    edges = [Edge(remap[u], remap[v], r, gadget) for u, v, r, gadget, _ in raw_edges]
-    labels = {remap[v]: name for v, name in declared.items()} or None
-    return ResistorNetwork.build(len(ids), edges, labels)
+    return ResistorNetwork.build(ids, edges, declared or None)
 
 
 def _weight_str(r) -> str:

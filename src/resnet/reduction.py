@@ -352,6 +352,27 @@ def terminal_table(net, terminals) -> dict:
     return _subset_table(net, tuple(sorted(terminals)))
 
 
+class _Run:
+    """The steps applied so far and every network they passed through."""
+
+    def __init__(self, start: ResistorNetwork):
+        self.steps, self.states = [], [start]
+
+    @property
+    def cur(self) -> ResistorNetwork:
+        return self.states[-1]
+
+    def apply(self, step: ReductionStep) -> None:
+        self.states.append(apply_step(self.cur, step))
+        self.steps.append(step)
+
+    def trace(self, terminals, certify: bool) -> ReductionTrace:
+        tables = None
+        if certify:
+            tables = tuple(terminal_table(s, terminals) for s in self.states)
+        return ReductionTrace(self.states[0], tuple(self.steps), self.cur, tables)
+
+
 def _next_step(net, terminals, use_delta_y):
     seen_pairs = sorted({(e.u, e.v) for e in net.edges})
     for u, v in seen_pairs:
@@ -399,22 +420,14 @@ def greedy_reduce(
     if not terminals <= set(net.vertices):
         raise ReductionError("terminals must be existing vertices")
     cap = max_steps if max_steps is not None else 20 * (net.n + len(net.edges) + 5)
-    steps = []
-    states = [net]
-    cur = net
+    run = _Run(net)
     while True:
-        if len(steps) > cap:
+        if len(run.steps) > cap:
             raise ReductionError("reduction did not reach a fixed point in budget")
-        step = _next_step(cur, terminals, use_delta_y)
+        step = _next_step(run.cur, terminals, use_delta_y)
         if step is None:
-            break
-        cur = apply_step(cur, step)
-        steps.append(step)
-        states.append(cur)
-    certificates = None
-    if certify:
-        certificates = tuple(terminal_table(s, terminals) for s in states)
-    return ReductionTrace(net, tuple(steps), cur, certificates)
+            return run.trace(terminals, certify)
+        run.apply(step)
 
 
 @dataclass(frozen=True)
@@ -464,38 +477,26 @@ def fan_chain_reduce(n: int, m: int, certify: bool = False) -> FanChainReduction
         raise ReductionError("fan_chain_reduce needs n >= 2")
     if not isinstance(m, int) or m <= 1:
         raise ReductionError("fan_chain_reduce needs an integer m > 1")
-    start = fan(n + 1, m)
+    run = _Run(fan(n + 1, m))
     apex = n + 1
     terminals = frozenset({0, n, apex})
-    steps = []
-    states = [start]
-    cur = start
     centers: list[int] = []
     apex_arms: list[Fraction] = []
     head = 0  # chain end that still faces unprocessed path vertices
     for i in range(1, n + 1):
-        tri = (head, i, apex)
-        step = delta_y(cur, tri, center_label=f"c{i}")
-        cur = apply_step(cur, step)
-        steps.append(step)
-        states.append(cur)
+        step = delta_y(run.cur, (head, i, apex), center_label=f"c{i}")
+        run.apply(step)
         center = step.added_vertices[0]
         centers.append(center)
         (arm,) = [e.r for e in step.added_edges if {e.u, e.v} == {center, apex}]
         apex_arms.append(arm)
         if i < n:
-            step = series_reduce(cur, i, terminals)
-            cur = apply_step(cur, step)
-            steps.append(step)
-            states.append(cur)
+            run.apply(series_reduce(run.cur, i, terminals))
         head = center
-    certificates = None
-    if certify:
-        certificates = tuple(terminal_table(s, terminals) for s in states)
-    trace = ReductionTrace(start, tuple(steps), cur, certificates)
+    trace = run.trace(terminals, certify)
     chain = [0] + centers + [n]
     links = tuple(
-        _single_edge(cur, a, b).r for a, b in zip(chain, chain[1:])
+        _single_edge(trace.final, a, b).r for a, b in zip(chain, chain[1:])
     )
     return FanChainReduction(
         n=n,

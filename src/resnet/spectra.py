@@ -43,7 +43,7 @@ _KERNEL_TOL = 1e-9
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues (nonincreasing) and eigenvectors; ``vectors[k]`` pairs
-    with ``values[k]``."""
+    with ``values[k]``; column j is position j (``net.vertices[j]``)."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -225,17 +225,17 @@ def generic_spectrum(lap) -> Spectrum:
 
 
 def network_spectrum(net: ResistorNetwork) -> Spectrum:
-    """Eigensystem of a network's weighted Laplacian (canonical ids only)."""
-    if not net.is_canonical:
-        raise ValueError("network_spectrum expects dense vertex ids 0..n-1")
+    """Eigensystem of a network's weighted Laplacian; eigenvector entries
+    follow ``net.index`` (sorted ids), whatever the ids are."""
     return generic_spectrum(build_laplacian(net, exact=False))
 
 
 def resistance_spectral(spec: Spectrum, u: int, v: int) -> float:
-    """Effective resistance from a spectrum.
+    """Effective resistance between positions u and v of a spectrum.
 
-    Sums (Psi_ku - Psi_kv)^2 / lambda_k over the nonzero eigenvalues. The
-    zero eigenvalue must be simple, otherwise the underlying network is
+    Sums (Psi_ku - Psi_kv)^2 / lambda_k over the nonzero eigenvalues. For a
+    network's spectrum, pass rows (``net.index[id]``), not ids. The zero
+    eigenvalue must be simple, otherwise the underlying network is
     disconnected and the value is undefined.
     """
     n = spec.n

@@ -10,7 +10,7 @@ import random
 
 import numpy as np
 
-from resnet import ResistorNetwork
+from resnet import Edge, ResistorNetwork
 
 # resistances drawn for random networks; kept small so exact arithmetic
 # stays fast and parallel/series results remain readable
@@ -73,3 +73,11 @@ def random_connected_network(rng: random.Random, max_n: int = 8,
         if a != b:
             edges.append((a, b, rng.choice(WEIGHT_POOL)))
     return ResistorNetwork.build(n, edges)
+
+
+def with_holes(net, ids=(0, 3, 7, 8, 12, 20, 31)) -> ResistorNetwork:
+    """The same network with vertex k renamed ids[k]: ids with holes, such as
+    reductions leave. ``net`` has dense ids and at most len(ids) vertices."""
+    return ResistorNetwork(
+        ids[: net.n], tuple(Edge(ids[e.u], ids[e.v], e.r, e.gadget) for e in net.edges)
+    )

@@ -70,6 +70,41 @@ def test_disconnected_exits_3(tmp_path, capsys, command, mode):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.fixture
+def sparse_file(tmp_path):
+    """A path on the file ids 1..4, which every answer must keep."""
+    f = tmp_path / "sparse.txt"
+    f.write_text("1 2 1\n2 3 5\n3 4 1\n")
+    return str(f)
+
+
+@pytest.mark.parametrize("mode", ["exact", "spectral"])
+@pytest.mark.parametrize("u,v,want", [("1", "2", "1"), ("3", "4", "1"),
+                                      ("1", "4", "7")])
+def test_resistance_uses_file_ids(sparse_file, capsys, mode, u, v, want):
+    code, out, _ = run(capsys, "resistance", "--graph", sparse_file,
+                       "--u", u, "--v", v, "--mode", mode)
+    assert code == 0 and out == want + "\n"
+
+
+@pytest.mark.parametrize("mode", ["exact", "spectral"])
+def test_diameter_lists_file_ids(sparse_file, capsys, mode):
+    code, out, _ = run(capsys, "diameter", "--graph", sparse_file, "--format", "json",
+                       "--mode", mode)
+    assert code == 0
+    assert [(p["u"], p["v"]) for p in json.loads(out)["pairs"]] == [(1, 4)]
+
+
+def test_reduce_keeps_file_ids(sparse_file, capsys):
+    code, out, _ = run(capsys, "reduce", "--graph", sparse_file, "--terminals", "1,4",
+                       "--certify")
+    obj = json.loads(out)
+    assert code == 0
+    assert obj["initial"]["vertices"] == [1, 2, 3, 4]
+    assert obj["final"]["vertices"] == [1, 4]
+    assert obj["certificates"][0] == {"1,4": "7"}
+
+
 def test_singular_exits_4(tmp_path, capsys):
     f = tmp_path / "sing.txt"
     f.write_text("0 1 1\n0 1 -1 gadget\n")

@@ -1,5 +1,6 @@
 """Network model, builders, file format."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,9 @@ from resnet import (
     path,
     render_network,
 )
+from resnet.reduction import apply_step, greedy_reduce
+
+from _oracles import random_connected_network, with_holes
 
 
 # --- Edge ---
@@ -141,6 +145,14 @@ def test_product_matches_named_families():
     assert block_tower(2).n == 8
 
 
+def test_composites_number_vertices_by_row():
+    dense = random_connected_network(random.Random(3), max_n=6)
+    holes = with_holes(dense)
+    assert cartesian_product(holes, holes) == cartesian_product(dense, dense)
+    assert cone(holes, 3) == cone(dense, 3)
+    assert join(holes, holes) == join(dense, dense)
+
+
 def test_cone_adds_apex_with_weighted_edges():
     net = cone(path(3), 4)
     apex = 3
@@ -210,13 +222,29 @@ def test_parse_rejects_duplicate_declaration():
         parse_network("node 0 a\nnode 0 b\n0 1 1\n")
 
 
-def test_parse_compacts_sparse_ids():
-    net = parse_network("10 20 1\n20 30 2\n")
-    assert net.vertices == (0, 1, 2)
+def test_parse_keeps_file_ids():
+    net = parse_network("node 30 end\n10 20 1\n20 30 2\n")
+    assert net.vertices == (10, 20, 30)
+    assert net.labels == {30: "end"}
+    assert [(e.u, e.v, e.r) for e in net.edges] == [(10, 20, 1), (20, 30, 2)]
+    assert net.index == {10: 0, 20: 1, 30: 2}
 
 
-def test_render_parse_round_trip_exact():
-    net = fan(3, 4)
+def _cycle8_mid_reduction():
+    """Halfway through greedy_reduce(cycle(8), (0, 4)): ids with holes."""
+    trace = greedy_reduce(cycle(8), (0, 4))
+    net = trace.initial
+    for step in trace.steps[: len(trace.steps) // 2]:
+        net = apply_step(net, step)
+    assert net.vertices != tuple(range(net.n))
+    return net
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: fan(3, 4), _cycle8_mid_reduction], ids=["fan", "mid_reduction"]
+)
+def test_render_parse_round_trip_exact(make):
+    net = make()
     assert parse_network(render_network(net)) == net
 
 

@@ -28,7 +28,7 @@ from resnet import (
 )
 from resnet.spectra import EIGEN_RESIDUAL_TOL, ORTHONORMALITY_TOL, _nonkernel
 
-from _oracles import random_connected_network
+from _oracles import pinv_resistance, random_connected_network, with_holes
 
 HALF_ROOT2 = math.sqrt(2.0) / 2.0
 
@@ -136,6 +136,18 @@ def test_spectral_resistance_agrees_with_exact():
         u, v = rng.sample(net.vertices, 2)
         want = float(resistance_exact(net, u, v))
         assert resistance_spectral(spec, u, v) == pytest.approx(want, abs=1e-9)
+
+
+def test_spectral_resistance_on_ids_with_holes():
+    holes = with_holes(random_connected_network(random.Random(7), max_n=7))
+    assert holes.vertices != tuple(range(holes.n))
+    spec = network_spectrum(holes)
+    row = holes.index
+    for i, u in enumerate(holes.vertices):
+        for v in holes.vertices[i + 1 :]:
+            got = resistance_spectral(spec, row[u], row[v])
+            assert got == pytest.approx(float(resistance_exact(holes, u, v)), abs=1e-9)
+            assert got == pytest.approx(pinv_resistance(holes, u, v), abs=1e-9)
 
 
 def test_spectral_resistance_on_structured_spectra():
