@@ -13,25 +13,14 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
 from .errors import BudgetExceededError, MalformedNetworkError
-from .exact import _conductances, _eliminate, resistance_exact, resistance_matrix_exact
-from .network import (
-    ResistorNetwork,
-    block_tower,
-    fan,
-    hypercube,
-)
-from .spectra import (
-    Spectrum,
-    _nonkernel,
-    hypercube_spectrum,
-    network_spectrum,
-    path_spectrum,
-    resistance_spectral,
-)
+from .exact import resistance_exact, resistance_matrix_exact
+from .network import ResistorNetwork, block_tower, fan
+from .spectra import Spectrum, _nonkernel, hypercube_spectrum, network_spectrum
 
 __all__ = [
     "DEFAULT_VERTEX_BUDGET",
@@ -103,7 +92,7 @@ class DiameterReport:
 
     diameter: object
     pairs: tuple[tuple[int, int], ...]
-    label_pairs: tuple[tuple[str | None, str | None], ...]
+    label_pairs: tuple[tuple[str, str], ...]
     exact: bool
 
     @property
@@ -178,29 +167,27 @@ class ScanReport:
         return self.rows[-1].deviation
 
 
-def _tower_sweep(k: int, n_max: int, i: int, j: int) -> list[Fraction]:
-    """Exact R_n of the P_n x Q_k tower for n = 2..n_max in one pass.
+def _tower_values(modes, unit, n_max: int) -> list:
+    """R_n of a tower P_n x H for n = 2..n_max, one path block per mode of H.
 
-    The front is a conductance map on ids l * 2**k + x (layer l, hypercube
-    vertex x), Kron-reduced onto the source (a1,b_i) and the top layer; at
-    n = 1 it is the bare hypercube, source included. Each height adds a
-    hypercube layer joined by unit rungs, eliminates the old top layer
-    except the source, and reads R_n = 1/g from a copy of the front reduced
-    onto the source and (a_n,b_j). Cost is linear in n_max.
+    Each nonzero eigenvalue mu of H adds the block L_P + mu*I to
+    L(P_n x H) = L_P (x) I + I (x) L_H. A mode is (mu, w, wxy): w = P(x,x) +
+    P(y,y) and wxy = P(x,y) for mu's eigenprojector P; unit is 1/|V(H)|.
+    With a_0 = 1, a_1 = 1 + mu, a_{l+1} = (2 + mu) a_l - a_{l-1}, a = a_{n-1}
+    and c = a/a_{n-2}, R_n = (n-1)*unit + sum (w - 2*wxy/a) / (1 + mu - 1/c).
+    Fraction modes give exact rows, float modes spectral ones; a float a
+    overflows to inf at great heights, which takes its vanishing term to 0.
     """
-    cube = _conductances(hypercube(k))
-    side = len(cube)
-    front = {x: dict(arms) for x, arms in cube.items()}
+    state = [[mu, w, wxy, 1 + mu, 1 + mu] for mu, w, wxy in modes]
     values = []
-    for top in range(side, n_max * side, side):
-        for x, arms in cube.items():
-            new, old = top + x, top - side + x
-            front[new] = {top + y: g for y, g in arms.items()}
-            front[new][old] = front[old][new] = Fraction(1)
-        _eliminate(front, (v for v in range(top - side, top) if v != i))
-        pair = {v: dict(arms) for v, arms in front.items()}
-        _eliminate(pair, (v for v in front if v not in (i, top + j)))
-        values.append(1 / pair[i][top + j])
+    for n in range(2, n_max + 1):
+        total = (n - 1) * unit
+        for mode in state:
+            mu, w, wxy, c, a = mode
+            total += (w - 2 * wxy / a) / (1 + mu - 1 / c)
+            c = 2 + mu - 1 / c
+            mode[3:] = c, a * c
+        values.append(total)
     return values
 
 
@@ -215,9 +202,11 @@ def conjecture_scan(
 
     Each row carries R_n between (a1, b_i) and (a_n, b_j); the first row is
     the baseline and subsequent rows add diff = R_n - R_{n-1} and
-    |diff - 1/2**k|. The pair defaults to an antipodal hypercube pair. A
-    vertex budget caps the largest tower; exceeding it raises rather than
-    grinding.
+    |diff - 1/2**k|. The pair defaults to an antipodal hypercube pair. No
+    tower is built: exact mode runs ``_tower_values`` on the modes mu = 2q,
+    P(x,y) = K_q(d(x,y))/2**k (Krawtchouk), spectral mode on the eigenpairs
+    of ``hypercube_spectrum(k)``. The vertex budget still caps the largest
+    tower's n_max * 2**k vertices; exceeding it raises.
     """
     if k < 1:
         raise MalformedNetworkError("k must be at least 1")
@@ -236,21 +225,25 @@ def conjecture_scan(
         raise BudgetExceededError(
             f"largest tower has {n_max * side} vertices, over the budget of {cap}"
         )
-    ns = range(2, n_max + 1)
-    if mode == "exact":
-        values = _tower_sweep(k, n_max, i, j)
-    else:
-        # the unit path's corner-to-corner resistance is exactly n - 1
-        cube = hypercube_spectrum(k)
-        r_cube = resistance_spectral(cube, i, j)
-        values = [
-            product_resistance(path_spectrum(n), cube, n - 1, r_cube, 0, i, n - 1, j)
-            for n in ns
-        ]
     limit = Fraction(1, side)
+    if mode == "exact":
+        d = (i ^ j).bit_count()
+        modes = []
+        for q in range(1, k + 1):
+            kq = sum((-1) ** s * comb(d, s) * comb(k - d, q - s) for s in range(q + 1))
+            weight = Fraction(2 * comb(k, q), side)
+            modes.append((Fraction(2 * q), weight, Fraction(kq, side)))
+        values = _tower_values(modes, limit, n_max)
+    else:
+        vals, vecs = _nonkernel(hypercube_spectrum(k))
+        modes = [
+            (mu, a * a + b * b, a * b)
+            for mu, a, b in zip(vals.tolist(), vecs[:, i].tolist(), vecs[:, j].tolist())
+        ]
+        values = _tower_values(modes, float(limit), n_max)
     rows = []
     prev = None
-    for n, val in zip(ns, values):
+    for n, val in zip(range(2, n_max + 1), values):
         if prev is None:
             rows.append(ScanRow(n=n, value=val, diff=None, deviation=None))
         else:
@@ -401,7 +394,7 @@ def diameter_to_csv(report: DiameterReport) -> str:
     w = csv.writer(out, lineterminator="\n")
     w.writerow(["u", "v", "label_u", "label_v", "R"])
     for (u, v), (lu, lv) in zip(report.pairs, report.label_pairs):
-        w.writerow([u, v, lu or "", lv or "", _cell(report.diameter)])
+        w.writerow([u, v, lu, lv, _cell(report.diameter)])
     return out.getvalue()
 
 

@@ -110,7 +110,7 @@ def _add_source_args(sub):
 
 
 def _resolve_vertex(net: ResistorNetwork, token: str) -> int:
-    if token.lstrip("-").isdigit():
+    if token.isascii() and token.lstrip("-").isdigit():
         vid = int(token)
         if vid not in net.index:
             raise MalformedNetworkError(f"no vertex with id {vid}")
@@ -204,7 +204,7 @@ def cmd_diameter(args) -> int:
         value = report.diameter if report.exact else f"{report.diameter:.15g}"
         print(f"D_r = {value}")
         for (u, v), (lu, lv) in zip(report.pairs, report.label_pairs):
-            names = f" {lu} {lv}" if lu and lv else ""
+            names = f" {lu} {lv}" if net.labels else ""
             print(f"  {u} {v}{names}")
     return 0
 

@@ -409,7 +409,7 @@ def _parse_weight(token: str, lineno: int) -> Fraction:
 
 
 def _parse_id(token: str, lineno: int) -> int:
-    if not token.isdigit():
+    if not (token.isascii() and token.isdigit()):
         raise ParseError(f"bad vertex id {token!r}", lineno)
     return int(token)
 

@@ -406,20 +406,19 @@ def _next_step(net, terminals, use_delta_y):
     return None
 
 
-def greedy_reduce(
-    net, terminals, use_delta_y=False, certify=False, max_steps=None
-) -> ReductionTrace:
+def greedy_reduce(net, terminals, use_delta_y=False, certify=False) -> ReductionTrace:
     """Reduce toward the terminal set; fixed priority order.
 
     Parallel merges run first, then series merges, then pendant-block
     deletion; triangle-to-star steps join the rotation only when
     ``use_delta_y`` is set. Reduction stops at a fixed point, which for
-    three or more terminals generally still contains star centers.
+    three or more terminals generally still contains star centers. A run
+    longer than 20 * (n + |E| + 5) steps raises ``ReductionError``.
     """
     terminals = frozenset(terminals)
     if not terminals <= set(net.vertices):
         raise ReductionError("terminals must be existing vertices")
-    cap = max_steps if max_steps is not None else 20 * (net.n + len(net.edges) + 5)
+    cap = 20 * (net.n + len(net.edges) + 5)
     run = _Run(net)
     while True:
         if len(run.steps) > cap:

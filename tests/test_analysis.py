@@ -159,12 +159,13 @@ def test_scan_respects_budget():
         conjecture_scan(2, 30, budget=100)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_scan_rows_match_rebuilt_towers(k):
-    # the layer sweep against a fresh solve of each whole tower
+    # the mode recurrence against a fresh solve of each whole tower
     side = 2**k
+    n_max = {4: 5, 5: 3}.get(k, 6)
     for pair in (None, (0, 1), (side - 1, side // 2)):
-        report = conjecture_scan(k, 6, pair=pair)
+        report = conjecture_scan(k, n_max, pair=pair)
         i, j = report.pair
         prev = None
         for row in report.rows:
@@ -175,6 +176,16 @@ def test_scan_rows_match_rebuilt_towers(k):
                 assert row.diff == want - prev
                 assert row.deviation == abs(want - prev - Fraction(1, side))
             prev = want
+
+
+def test_scan_spectral_tall_tower_tracks_exact():
+    # at n = 1000 the float recurrence's a_n overflows to inf, and its
+    # vanishing term must go to 0 without costing digits
+    ex = conjecture_scan(2, 1000, mode="exact", budget=4000)
+    sp = conjecture_scan(2, 1000, mode="spectral", budget=4000)
+    assert len(sp.rows) == 999
+    for a, b in zip(ex.rows, sp.rows):
+        assert b.value == pytest.approx(float(a.value), rel=1e-12)
 
 
 def test_scan_custom_pair():

@@ -105,6 +105,26 @@ def test_reduce_keeps_file_ids(sparse_file, capsys):
     assert obj["certificates"][0] == {"1,4": "7"}
 
 
+def test_plain_diameter_prints_ids_once_without_labels(sparse_file, capsys):
+    code, out, _ = run(capsys, "diameter", "--graph", sparse_file)
+    assert code == 0 and out == "D_r = 7\n  1 4\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["resistance", "--graph", "SUPERSCRIPT_FILE", "--u", "0", "--v", "1"],
+    ["resistance", "--builder", "path", "3", "--u", "²", "--v", "0"],
+    ["reduce", "--builder", "path", "3", "--terminals", "²,0"],
+])
+def test_non_ascii_digits_exit_2(tmp_path, capsys, argv):
+    # str.isdigit() holds for a superscript two, but int() rejects it
+    f = tmp_path / "superscript.txt"
+    f.write_text("0 ² 1\n", encoding="utf-8")
+    argv = [str(f) if a == "SUPERSCRIPT_FILE" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_singular_exits_4(tmp_path, capsys):
     f = tmp_path / "sing.txt"
     f.write_text("0 1 1\n0 1 -1 gadget\n")
