@@ -13,13 +13,13 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 
 from .errors import BudgetExceededError, MalformedNetworkError
-from .exact import resistance_exact, resistance_matrix_exact
-from .network import ResistorNetwork, block_tower, fan
+from .exact import resistance_matrix_exact
+from .formulas import _cube_modes, _tower_values
+from .network import ResistorNetwork, block_tower
 from .spectra import Spectrum, _nonkernel, hypercube_spectrum, network_spectrum
 
 __all__ = [
@@ -167,30 +167,6 @@ class ScanReport:
         return self.rows[-1].deviation
 
 
-def _tower_values(modes, unit, n_max: int) -> list:
-    """R_n of a tower P_n x H for n = 2..n_max, one path block per mode of H.
-
-    Each nonzero eigenvalue mu of H adds the block L_P + mu*I to
-    L(P_n x H) = L_P (x) I + I (x) L_H. A mode is (mu, w, wxy): w = P(x,x) +
-    P(y,y) and wxy = P(x,y) for mu's eigenprojector P; unit is 1/|V(H)|.
-    With a_0 = 1, a_1 = 1 + mu, a_{l+1} = (2 + mu) a_l - a_{l-1}, a = a_{n-1}
-    and c = a/a_{n-2}, R_n = (n-1)*unit + sum (w - 2*wxy/a) / (1 + mu - 1/c).
-    Fraction modes give exact rows, float modes spectral ones; a float a
-    overflows to inf at great heights, which takes its vanishing term to 0.
-    """
-    state = [[mu, w, wxy, 1 + mu, 1 + mu] for mu, w, wxy in modes]
-    values = []
-    for n in range(2, n_max + 1):
-        total = (n - 1) * unit
-        for mode in state:
-            mu, w, wxy, c, a = mode
-            total += (w - 2 * wxy / a) / (1 + mu - 1 / c)
-            c = 2 + mu - 1 / c
-            mode[3:] = c, a * c
-        values.append(total)
-    return values
-
-
 def conjecture_scan(
     k: int,
     n_max: int,
@@ -203,10 +179,11 @@ def conjecture_scan(
     Each row carries R_n between (a1, b_i) and (a_n, b_j); the first row is
     the baseline and subsequent rows add diff = R_n - R_{n-1} and
     |diff - 1/2**k|. The pair defaults to an antipodal hypercube pair. No
-    tower is built: exact mode runs ``_tower_values`` on the modes mu = 2q,
-    P(x,y) = K_q(d(x,y))/2**k (Krawtchouk), spectral mode on the eigenpairs
-    of ``hypercube_spectrum(k)``. The vertex budget still caps the largest
-    tower's n_max * 2**k vertices; exceeding it raises.
+    tower is built: exact mode runs ``_tower_values`` on ``_cube_modes``,
+    spectral mode on the eigenpairs of ``hypercube_spectrum(k)``; in both,
+    diff is 1/2**k plus the recurrence's step, which keeps a float deviation's
+    digits. The vertex budget still caps the largest tower's n_max * 2**k
+    vertices; exceeding it raises.
     """
     if k < 1:
         raise MalformedNetworkError("k must be at least 1")
@@ -227,30 +204,19 @@ def conjecture_scan(
         )
     limit = Fraction(1, side)
     if mode == "exact":
-        d = (i ^ j).bit_count()
-        modes = []
-        for q in range(1, k + 1):
-            kq = sum((-1) ** s * comb(d, s) * comb(k - d, q - s) for s in range(q + 1))
-            weight = Fraction(2 * comb(k, q), side)
-            modes.append((Fraction(2 * q), weight, Fraction(kq, side)))
-        values = _tower_values(modes, limit, n_max)
+        modes, unit = _cube_modes(k, (i ^ j).bit_count()), limit
     else:
         vals, vecs = _nonkernel(hypercube_spectrum(k))
         modes = [
             (mu, a * a + b * b, a * b)
             for mu, a, b in zip(vals.tolist(), vecs[:, i].tolist(), vecs[:, j].tolist())
         ]
-        values = _tower_values(modes, float(limit), n_max)
-    rows = []
-    prev = None
-    for n, val in zip(range(2, n_max + 1), values):
-        if prev is None:
-            rows.append(ScanRow(n=n, value=val, diff=None, deviation=None))
-        else:
-            diff = val - prev
-            dev = abs(diff - limit)
-            rows.append(ScanRow(n=n, value=val, diff=diff, deviation=dev))
-        prev = val
+        unit = float(limit)
+    values, steps = _tower_values(modes, unit, n_max)
+    rows = [ScanRow(n=2, value=values[0], diff=None, deviation=None)] + [
+        ScanRow(n=n, value=val, diff=limit + step, deviation=abs(step))
+        for n, val, step in zip(range(3, n_max + 1), values[1:], steps)
+    ]
     return ScanReport(k=k, pair=(i, j), mode=mode, limit=limit, rows=tuple(rows))
 
 
@@ -329,21 +295,21 @@ class FanBounds:
 
 
 def fan_bounds(n: int, m: int) -> FanBounds:
-    """Evaluate the three fan decay quantities by exact solves."""
+    """Evaluate the three fan decay quantities exactly. Grounded at the apex,
+    the fan is the path block L_P + m*I: end-to-end resistance is the mode
+    (m, 2, 1) of ``_tower_values`` and end-to-apex resistance (m, 1, 0)."""
     if n < 2:
         raise ValueError("the fan needs at least two path vertices")
-    small = fan(n, m)
-    big = fan(n + 1, m)
-    r_ends_n = resistance_exact(small, 0, n - 1)
-    r_apex_n = resistance_exact(small, 0, n)
-    r_ends_n1 = resistance_exact(big, 0, n)
-    r_apex_n1 = resistance_exact(big, 0, n + 1)
+    if not isinstance(m, int) or m <= 1:
+        raise MalformedNetworkError("fan needs an integer m > 1")
+    ends, ends_steps = _tower_values([(Fraction(m), 2, 1)], 0, n + 1)
+    apex, apex_steps = _tower_values([(Fraction(m), 1, 0)], 0, n + 1)
     return FanBounds(
         n=n,
         m=m,
-        endpoint_step=r_ends_n1 - r_ends_n,
-        apex_step=r_apex_n - r_apex_n1,
-        apex_defect=2 * r_apex_n - r_ends_n,
+        endpoint_step=ends_steps[-1],
+        apex_step=-apex_steps[-1],
+        apex_defect=2 * apex[-2] - ends[-2],
     )
 
 

@@ -2,14 +2,17 @@
 
 Everything here is a direct formula evaluation: no linear solves, no graph
 walks. The spectral-sum formulas take precomputed factor spectra so callers
-can amortize them across many pairs.
+can amortize them across many pairs. Towers, ladders and fans share one
+path-block recurrence, ``_tower_values``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .spectra import Spectrum
 
@@ -184,32 +187,61 @@ def block_tower_decomposition(n: int, exact: bool = True) -> DecompositionReport
         R_tower(corner, far corner) =
             R_ladder(corner, far corner) + R_fan(end, end)/4 - (n - 1)/4
 
-    where the fan has n path vertices and strength 4. With ``exact`` the
-    three terms come from exact solves and the residual is an exact zero;
-    otherwise the right side uses the closed ladder form plus a float fan
-    solve and the residual only vanishes to rounding.
+    where the fan has n path vertices and strength 4. C_4 is Q_2 with the
+    corners antipodal and the rung is Q_1, so all three come from
+    ``_tower_values`` in rationals and the residual is an exact zero; with
+    ``exact`` false the parts and the right side are floats.
     """
-    from .exact import resistance_exact
-    from .network import block_tower, fan, ladder
-
     if n < 2:
         raise ValueError("the tower needs n >= 2 levels")
-    tower = block_tower(n)
-    u = tower.find_label("(a1,b1)")
-    v = tower.find_label(f"(a{n},b3)")
-    lad = ladder(n)
-    lu = lad.find_label("(a1,c1)")
-    lv = lad.find_label(f"(a{n},c2)")
-    fn = fan(n, 4)
-    fu, fv = fn.find_label("a1"), fn.find_label(f"a{n}")
-    if exact:
-        lhs = resistance_exact(tower, u, v)
-        lpart = resistance_exact(lad, lu, lv)
-        fpart = resistance_exact(fn, fu, fv)
-        rhs = lpart + fpart / 4 - Fraction(n - 1, 4)
-    else:
-        lhs = float(resistance_exact(tower, u, v))
-        lpart = ladder_endpoint_resistance(n)
-        fpart = float(resistance_exact(fn, fu, fv))
-        rhs = lpart + fpart / 4.0 - (n - 1) / 4.0
+    lhs = _tower_values(_cube_modes(2, 2), Fraction(1, 4), n)[0][-1]
+    lpart = _tower_values(_cube_modes(1, 1), Fraction(1, 2), n)[0][-1]
+    fpart = _tower_values([(Fraction(4), 2, 1)], 0, n)[0][-1]
+    if not exact:
+        lhs, lpart, fpart = float(lhs), float(lpart), float(fpart)
+    rhs = lpart + fpart / 4 - Fraction(n - 1, 4)
     return DecompositionReport(n=n, lhs=lhs, ladder_part=lpart, fan_part=fpart, rhs=rhs)
+
+
+def _cube_modes(k: int, d: int) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
+    """Modes of Q_k for a pair at Hamming distance d: mu = 2q, projector
+    diagonal C(k, q)/2**k and entry K_q(d)/2**k (Krawtchouk), q = 1..k."""
+    side = 2**k
+    for q in range(1, k + 1):
+        kq = sum((-1) ** s * comb(d, s) * comb(k - d, q - s) for s in range(q + 1))
+        yield Fraction(2 * q), Fraction(2 * comb(k, q), side), Fraction(kq, side)
+
+
+def _tower_values(modes, unit, n_max: int) -> tuple[list, list]:
+    """R_n of a tower P_n x H for n = 2..n_max, one path block per mode of H,
+    and the steps R_{n+1} - R_n - unit for n = 2..n_max-1.
+
+    Each nonzero eigenvalue mu of H adds the block L_P + mu*I, the grounded
+    Laplacian of the fan of strength mu, to L(P_n x H) = L_P (x) I + I (x) L_H.
+    A mode is (mu, w, wxy): w = P(x,x) + P(y,y), wxy = P(x,y) for mu's
+    eigenprojector P; unit is 1/|V(H)|. With a_0 = 1, a_1 = 1 + mu,
+    a_{l+1} = (2 + mu) a_l - a_{l-1}, a = a_{n-1}, c = a/a_{n-2} and
+    den = 1 + mu - 1/c, R_n = (n-1)*unit + sum (w - 2*wxy/a) / den; steps are
+    summed from each mode's dc = c' - c, so floats keep their digits. A float
+    a overflows to inf at great heights, which takes its terms to 0.
+    """
+    state = [[mu, w, wxy, 1 + mu, 1 + mu, mu / (1 + mu), 1 + mu - 1 / (1 + mu)]
+             for mu, w, wxy in modes]
+    values, steps = [], []
+    for n in range(2, n_max + 1):
+        total = (n - 1) * unit
+        step = 0
+        for mode in state:
+            mu, w, wxy, c, a, dc, den = mode
+            term = (w - 2 * wxy / a) / den
+            total += term
+            c2 = 2 + mu - 1 / c
+            den2 = 1 + mu - 1 / c2
+            dc = dc / (c * c2)
+            a2 = a * c2
+            # w*(g' - g) - 2*wxy*(g'/a' - g/a) with g = 1/den, g' - g = -dc*g*g'
+            step += (2 * wxy * den / a2 - dc * term) / den2
+            mode[3:] = c2, a2, dc, den2
+        values.append(total)
+        steps.append(step)
+    return values, steps[:-1]

@@ -188,6 +188,16 @@ def test_scan_spectral_tall_tower_tracks_exact():
         assert b.value == pytest.approx(float(a.value), rel=1e-12)
 
 
+def test_scan_spectral_deviation_keeps_its_digits():
+    # R_n - R_(n-1) - 1/4 in floats cancels every digit of a deviation
+    # below 1e-16; the recurrence's per-mode steps keep them
+    ex = conjecture_scan(2, 60, mode="exact")
+    sp = conjecture_scan(2, 60, mode="spectral")
+    for a, b in zip(ex.rows[1:], sp.rows[1:]):
+        want = float(a.deviation)
+        assert abs(b.deviation - want) <= 1e-12 * want, a.n
+
+
 def test_scan_custom_pair():
     # adjacent cycle vertices still converge to the same limit
     report = conjecture_scan(2, 6, pair=(0, 1))
@@ -214,15 +224,20 @@ def test_fan_bounds_hold_small_grid():
 
 
 def test_fan_bound_values_match_oracle_quantities():
-    n, m = 4, 3
-    fb = fan_bounds(n, m)
-    small, big = fan(n, m), fan(n + 1, m)
-    assert fb.endpoint_step == resistance_exact(big, 0, n) - resistance_exact(
-        small, 0, n - 1
-    )
-    assert fb.apex_defect == 2 * resistance_exact(small, 0, n) - resistance_exact(
-        small, 0, n - 1
-    )
+    for m in (2, 3, 4):
+        for n in range(2, 8):
+            fb = fan_bounds(n, m)
+            small, big = fan(n, m), fan(n + 1, m)
+            ends, apex = resistance_exact(small, 0, n - 1), resistance_exact(small, 0, n)
+            assert fb.endpoint_step == resistance_exact(big, 0, n) - ends, (n, m)
+            assert fb.apex_step == apex - resistance_exact(big, 0, n + 1), (n, m)
+            assert fb.apex_defect == 2 * apex - ends, (n, m)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2.5])
+def test_fan_bounds_reject_a_non_integer_or_weak_strength(m):
+    with pytest.raises(ValueError):
+        fan_bounds(4, m)
 
 
 def test_corner_pair_ordering_along_the_cycle():

@@ -7,6 +7,7 @@ import pytest
 
 from resnet import (
     LADDER,
+    block_tower,
     block_tower_decomposition,
     complete_bipartite,
     cone,
@@ -197,10 +198,21 @@ def test_hypercube_diameter_rejects_bad_dimension():
 # --- decomposition ---
 
 def test_decomposition_residual_exactly_zero():
-    for n in range(2, 7):
+    # each part from the recurrence against a solve of the network it names
+    for n in range(2, 9):
         rep = block_tower_decomposition(n)
         assert rep.residual == 0
         assert rep.lhs == rep.rhs
+        tower, lad, fn = block_tower(n), ladder(n), fan(n, 4)
+        assert rep.lhs == resistance_exact(
+            tower, tower.find_label("(a1,b1)"), tower.find_label(f"(a{n},b3)")
+        )
+        assert rep.ladder_part == resistance_exact(
+            lad, lad.find_label("(a1,c1)"), lad.find_label(f"(a{n},c2)")
+        )
+        assert rep.fan_part == resistance_exact(
+            fn, fn.find_label("a1"), fn.find_label(f"a{n}")
+        )
 
 
 def test_decomposition_baseline_value():
