@@ -40,7 +40,7 @@ text = render_network(f)
 print(text)
 print("parsed back equal:", parse_network(text) == f)
 
-print("== exact Laplacian rows sum to zero ==")
+print("== Laplacian rows sum to zero ==")
 lap = build_laplacian(cycle(4))
 for row in lap:
-    print("  ", [str(x) for x in row])
+    print("  ", [f"{x:g}" for x in row])

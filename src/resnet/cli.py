@@ -6,8 +6,8 @@ for the all-pairs maximum with its tie set. Builders cover the structured
 families so everything is reachable without writing a network file.
 
 Exit codes: 0 success, 2 malformed input, 3 disconnected network,
-4 singular system, 5 reduction stuck above the terminal set, 6 vertex
-budget exceeded.
+4 singular system, 5 reduction stuck above the terminal set or, with
+``--certify``, a step that fails its proof, 6 vertex budget exceeded.
 """
 
 from __future__ import annotations

@@ -41,15 +41,15 @@ def _require_solvable(net: ResistorNetwork):
         )
 
 
-def _conductances(net: ResistorNetwork) -> dict[int, dict[int, Fraction]]:
-    """``{v: {w: g}}``, the summed conductance between adjacent vertices.
+def _conductances(vertices, edges) -> dict[int, dict[int, Fraction]]:
+    """``{v: {w: g}}`` over ``vertices``, summing the conductances of ``edges``.
 
     Parallel edges add, and a pair whose sum cancels to zero is dropped.
     """
-    if not net.all_rational:
-        raise MalformedNetworkError("exact solver requires rational resistances")
-    g = {v: {} for v in net.vertices}
-    for e in net.edges:
+    g = {v: {} for v in vertices}
+    for e in edges:
+        if not isinstance(e.r, Fraction):
+            raise MalformedNetworkError("exact solver requires rational resistances")
         _link(g, e.u, e.v, g[e.u].get(e.v, _ZERO) + 1 / e.r)
     return g
 
@@ -71,17 +71,23 @@ def _eliminate(g, doomed) -> list[tuple[int, Fraction, dict[int, Fraction]]]:
     neighbours a, b by g_va * g_vb / pivot. What is left in ``g`` is the Kron
     reduction onto the kept vertices. Returns the steps as
     ``(v, pivot, arms)``, ``arms`` being v's neighbours when it went.
+
+    One heap of ``(degree, id)`` serves every step. A vertex's degree and
+    pivot change only when a neighbour goes, and then it is pushed again, so
+    a popped entry whose degree no longer matches, or whose pivot is zero, is
+    dropped.
     """
     left = set(doomed)
+    heap = [(len(g[w]), w) for w in left]
+    heapq.heapify(heap)
     steps = []
     while left:
-        heap = [(len(g[w]), w) for w in left]
-        heapq.heapify(heap)
         while heap:
-            v = heapq.heappop(heap)[1]
-            pivot = sum(g[v].values())
-            if pivot:
-                break
+            d, v = heapq.heappop(heap)
+            if v in left and d == len(g[v]):
+                pivot = sum(g[v].values())
+                if pivot:
+                    break
         else:
             raise SingularSystemError(
                 f"no usable pivot while eliminating vertex {min(left)}"
@@ -94,6 +100,9 @@ def _eliminate(g, doomed) -> list[tuple[int, Fraction, dict[int, Fraction]]]:
             f = ga / pivot
             for b, gb in items[x + 1 :]:
                 _link(g, a, b, g[a].get(b, _ZERO) + f * gb)
+        for a in arms:
+            if a in left:
+                heapq.heappush(heap, (len(g[a]), a))
         steps.append((v, pivot, arms))
     return steps
 
@@ -105,9 +114,8 @@ class GroundedSystem:
         if ground not in net._adj:
             raise MalformedNetworkError(f"unknown ground vertex {ground}")
         self.ground = ground
-        self._steps = _eliminate(
-            _conductances(net), (v for v in net.vertices if v != ground)
-        )
+        g = _conductances(net.vertices, net.edges)
+        self._steps = _eliminate(g, (v for v in net.vertices if v != ground))
 
     def solve(self, rhs: dict[int, Fraction]) -> dict[int, Fraction]:
         """Solve for node potentials; rhs and result are keyed by vertex id.

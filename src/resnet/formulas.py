@@ -169,17 +169,17 @@ class DecompositionReport:
     """Corner resistance of the square tower split into its two parts."""
 
     n: int
-    lhs: object
-    ladder_part: object
-    fan_part: object
-    rhs: object
+    lhs: Fraction
+    ladder_part: Fraction
+    fan_part: Fraction
+    rhs: Fraction
 
     @property
-    def residual(self):
+    def residual(self) -> Fraction:
         return self.lhs - self.rhs
 
 
-def block_tower_decomposition(n: int, exact: bool = True) -> DecompositionReport:
+def block_tower_decomposition(n: int) -> DecompositionReport:
     """Split the square tower's diagonal corner resistance.
 
     The tower of n stacked unit squares (path times 4-cycle) satisfies
@@ -189,16 +189,13 @@ def block_tower_decomposition(n: int, exact: bool = True) -> DecompositionReport
 
     where the fan has n path vertices and strength 4. C_4 is Q_2 with the
     corners antipodal and the rung is Q_1, so all three come from
-    ``_tower_values`` in rationals and the residual is an exact zero; with
-    ``exact`` false the parts and the right side are floats.
+    ``_tower_values`` in rationals and the residual is an exact zero.
     """
     if n < 2:
         raise ValueError("the tower needs n >= 2 levels")
     lhs = _tower_values(_cube_modes(2, 2), Fraction(1, 4), n)[0][-1]
     lpart = _tower_values(_cube_modes(1, 1), Fraction(1, 2), n)[0][-1]
     fpart = _tower_values([(Fraction(4), 2, 1)], 0, n)[0][-1]
-    if not exact:
-        lhs, lpart, fpart = float(lhs), float(lpart), float(fpart)
     rhs = lpart + fpart / 4 - Fraction(n - 1, 4)
     return DecompositionReport(n=n, lhs=lhs, ladder_part=lpart, fan_part=fpart, rhs=rhs)
 

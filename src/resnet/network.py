@@ -363,29 +363,11 @@ def fan(n: int, m: int) -> ResistorNetwork:
 # Laplacian
 # ---------------------------------------------------------------------------
 
-def build_laplacian(net: ResistorNetwork, exact: bool | None = None):
-    """Weighted Laplacian with conductances 1/r; parallel edges accumulate.
-
-    Row order follows ``net.index``. Returns a list-of-lists of Fraction
-    in exact mode and a float ndarray otherwise; ``exact=None`` picks exact
-    when every weight is rational. Row sums are exactly zero in exact mode.
-    """
-    if exact is None:
-        exact = net.all_rational
-    if exact and not net.all_rational:
-        raise MalformedNetworkError("exact Laplacian requires rational resistances")
+def build_laplacian(net: ResistorNetwork):
+    """Weighted Laplacian as a float ndarray, conductances 1/r; parallel
+    edges accumulate. Row order follows ``net.index``."""
     idx = net.index
     n = net.n
-    if exact:
-        lap = [[Fraction(0)] * n for _ in range(n)]
-        for e in net.edges:
-            g = 1 / e.r
-            i, j = idx[e.u], idx[e.v]
-            lap[i][i] += g
-            lap[j][j] += g
-            lap[i][j] -= g
-            lap[j][i] -= g
-        return lap
     lap = np.zeros((n, n))
     for e in net.edges:
         g = 1.0 / float(e.r)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ReductionError
-from .exact import _subset_table
+from .exact import _conductances, _eliminate, _subset_table
 from .network import Edge, ResistorNetwork, _weight_str, fan
 
 __all__ = [
@@ -55,9 +55,10 @@ class ReductionStep:
 class ReductionTrace:
     """A reduction run: initial network, steps, final network.
 
-    ``certificates``, when requested, holds one terminal-resistance table
-    per intermediate network (len(steps) + 1 tables). In exact arithmetic
-    consecutive tables are identical.
+    ``certificates``, when requested, holds the terminal-resistance table
+    of every network the run passed through (len(steps) + 1 tables). They
+    are one table: it is solved on the initial network and checked on the
+    final one, and each step in between is proved to change no resistance.
     """
 
     initial: ResistorNetwork
@@ -352,25 +353,44 @@ def terminal_table(net, terminals) -> dict:
     return _subset_table(net, tuple(sorted(terminals)))
 
 
+def _step_holds(step: ReductionStep) -> bool:
+    """Whether ``step`` keeps every resistance: by the principle of
+    substitution, when its removed and its added edges, each Kron-reduced
+    onto the vertices they touch that the step neither removes nor adds,
+    give the same conductances."""
+    inner = {*step.removed_vertices, *step.added_vertices}
+    touched = {x for e in step.removed_edges + step.added_edges for x in (e.u, e.v)}
+    sides = []
+    for verts, edges in ((step.removed_vertices, step.removed_edges),
+                         (step.added_vertices, step.added_edges)):
+        g = _conductances((touched - inner).union(verts), edges)
+        _eliminate(g, verts)
+        sides.append(g)
+    return sides[0] == sides[1]
+
+
 class _Run:
-    """The steps applied so far and every network they passed through."""
+    """The network a run started from, the one it is at, and the steps."""
 
     def __init__(self, start: ResistorNetwork):
-        self.steps, self.states = [], [start]
-
-    @property
-    def cur(self) -> ResistorNetwork:
-        return self.states[-1]
+        self.start = self.cur = start
+        self.steps = []
 
     def apply(self, step: ReductionStep) -> None:
-        self.states.append(apply_step(self.cur, step))
+        self.cur = apply_step(self.cur, step)
         self.steps.append(step)
 
     def trace(self, terminals, certify: bool) -> ReductionTrace:
         tables = None
         if certify:
-            tables = tuple(terminal_table(s, terminals) for s in self.states)
-        return ReductionTrace(self.states[0], tuple(self.steps), self.cur, tables)
+            first = terminal_table(self.start, terminals)
+            for i, step in enumerate(self.steps, start=1):
+                if not _step_holds(step):
+                    raise ReductionError(f"step {i} ({step.kind}) changes a resistance")
+            if terminal_table(self.cur, terminals) != first:
+                raise ReductionError("the final network changes a resistance")
+            tables = (first,) * (len(self.steps) + 1)
+        return ReductionTrace(self.start, tuple(self.steps), self.cur, tables)
 
 
 def _next_step(net, terminals, use_delta_y):

@@ -227,7 +227,7 @@ def generic_spectrum(lap) -> Spectrum:
 def network_spectrum(net: ResistorNetwork) -> Spectrum:
     """Eigensystem of a network's weighted Laplacian; eigenvector entries
     follow ``net.index`` (sorted ids), whatever the ids are."""
-    return generic_spectrum(build_laplacian(net, exact=False))
+    return generic_spectrum(build_laplacian(net))
 
 
 def resistance_spectral(spec: Spectrum, u: int, v: int) -> float:

@@ -240,7 +240,7 @@ def test_c09_tower_diametrical_pairs():
 def test_c10_decomposition_identity():
     t0 = time.perf_counter()
     for n in range(2, 9):
-        rep = block_tower_decomposition(n, exact=True)
+        rep = block_tower_decomposition(n)
         assert rep.residual == 0
     passed(10, "tower corner decomposition residual exactly zero, n = 2..8", t0, 60)
 

@@ -19,7 +19,7 @@ from resnet import (
     resistance_matrix_exact,
 )
 
-from resnet.exact import _conductances, _eliminate
+from resnet.exact import _conductances, _eliminate, _link
 
 from _oracles import pinv_resistance, random_connected_network, with_holes
 
@@ -121,12 +121,12 @@ def test_kron_reduction_keeps_pair_resistance():
     for _ in range(20):
         net = random_connected_network(rng)
         keep = rng.sample(net.vertices, min(3, net.n))
-        reduced = _conductances(net)
+        reduced = _conductances(net.vertices, net.edges)
         _eliminate(reduced, [w for w in net.vertices if w not in keep])
         assert set(reduced) == set(keep)
         assert all(reduced[b][a] == g for a in reduced for b, g in reduced[a].items())
         u, v = keep[:2]
-        pair = _conductances(net)
+        pair = _conductances(net.vertices, net.edges)
         _eliminate(pair, [w for w in net.vertices if w not in (u, v)])
         assert 1 / pair[u][v] == resistance_exact(net, u, v)
         assert float(1 / pair[u][v]) == pytest.approx(
@@ -141,7 +141,68 @@ def test_kron_reduction_zero_pivot_is_singular():
     # vertex 1 carries +1 and -1 conductance, so its pivot cancels to zero
     net = ResistorNetwork((0, 1, 2), (Edge(0, 1, 1), Edge(1, 2, -1, gadget=True)))
     with pytest.raises(SingularSystemError):
-        _eliminate(_conductances(net), [1])
+        _eliminate(_conductances(net.vertices, net.edges), [1])
+
+
+def _eliminate_by_rebuild(g, doomed):
+    """Reference pivot rule: each step scans every vertex still to go for the
+    least (degree, id) with a nonzero pivot. Also counts the steps where a
+    smaller vertex was passed over for its zero pivot."""
+    left, steps, skips = set(doomed), [], 0
+    while left:
+        order = sorted((len(g[w]), w) for w in left)
+        usable = [v for _, v in order if sum(g[v].values())]
+        if not usable:
+            raise SingularSystemError(
+                f"no usable pivot while eliminating vertex {min(left)}"
+            )
+        v = usable[0]
+        skips += v != order[0][1]
+        left.remove(v)
+        pivot, arms = sum(g[v].values()), g.pop(v)
+        items = list(arms.items())
+        for x, (a, ga) in enumerate(items):
+            del g[a][v]
+            for b, gb in items[x + 1 :]:
+                _link(g, a, b, g[a].get(b, 0) + ga * gb / pivot)
+        steps.append((v, pivot, arms))
+    return steps, skips
+
+
+def _with_zero_pivots(rng, net):
+    """Add gadget edges that cancel the conductance sum at a few vertices."""
+    edges = list(net.edges)
+    for v in rng.sample(net.vertices, min(2, net.n)):
+        g = _conductances(net.vertices, edges)[v]
+        others = [w for w in net.vertices if w != v]
+        if sum(g.values()) and others:
+            r = -1 / sum(g.values())
+            edges.append(Edge(v, rng.choice(others), r, gadget=True))
+    return ResistorNetwork(net.vertices, tuple(edges))
+
+
+def test_one_heap_picks_the_rebuild_order():
+    rng = random.Random(41)
+    skips = singular = 0
+    for i in range(300):
+        net = random_connected_network(rng, max_n=10, extra_edges=6)
+        if i % 2:
+            net = _with_zero_pivots(rng, net)
+        doomed = rng.sample(net.vertices, rng.randint(1, net.n))
+        got = _conductances(net.vertices, net.edges)
+        want = _conductances(net.vertices, net.edges)
+        try:
+            ref, n_skips = _eliminate_by_rebuild(want, doomed)
+        except SingularSystemError as exc:
+            with pytest.raises(SingularSystemError, match=str(exc)):
+                _eliminate(got, doomed)
+            singular += 1
+            continue
+        assert _eliminate(got, doomed) == ref
+        assert got == want
+        skips += n_skips
+    # the gadgets exercise both the passed-over and the singular paths
+    assert skips > 10 and singular > 10
 
 
 def test_grounded_system_solves_kirchhoff():

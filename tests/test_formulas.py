@@ -218,9 +218,3 @@ def test_decomposition_residual_exactly_zero():
 def test_decomposition_baseline_value():
     rep = block_tower_decomposition(2)
     assert rep.lhs == Fraction(5, 6)
-
-
-def test_decomposition_float_mode_is_close():
-    for n in (3, 6, 8):
-        rep = block_tower_decomposition(n, exact=False)
-        assert abs(rep.residual) < 1e-10

@@ -25,6 +25,7 @@ from resnet import (
     path,
     render_network,
 )
+from resnet.exact import _conductances
 from resnet.reduction import apply_step, greedy_reduce
 
 from _oracles import random_connected_network, with_holes
@@ -186,12 +187,14 @@ def test_exact_laplacian_rows_sum_to_zero():
 
 
 def test_float_laplacian_matches_exact():
+    # entry by entry against the exact solver's rational conductance map
     net = fan(3, 2)
-    exact = build_laplacian(net, exact=True)
-    approx = build_laplacian(net, exact=False)
-    for i in range(net.n):
-        for j in range(net.n):
-            assert approx[i, j] == pytest.approx(float(exact[i][j]), abs=1e-15)
+    g = _conductances(net.vertices, net.edges)
+    lap = build_laplacian(net)
+    for v, i in net.index.items():
+        for w, j in net.index.items():
+            want = sum(g[v].values()) if v == w else -g[v].get(w, 0)
+            assert lap[i, j] == pytest.approx(float(want), abs=1e-15)
 
 
 # --- file format ---

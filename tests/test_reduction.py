@@ -7,6 +7,7 @@ unchanged. Certificates make that table explicit.
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from resnet import (
     fan,
     fan_chain_reduce,
     greedy_reduce,
+    ladder,
     parallel_reduce,
     path,
     resistance_exact,
@@ -32,6 +34,7 @@ from resnet import (
     trace_to_json,
     trace_to_text,
 )
+from resnet import reduction
 
 from _oracles import random_connected_network
 
@@ -201,12 +204,79 @@ def test_greedy_two_terminal_cycle():
     assert trace.replay() == trace.final
 
 
-def test_greedy_certificates_all_equal():
+def _certified_runs():
     rng = random.Random(31)
     net = random_connected_network(rng, max_n=8)
     terms = set(rng.sample(net.vertices, 2))
-    trace = greedy_reduce(net, terms, use_delta_y=True, certify=True)
-    assert len(set(map(str, trace.certificates))) == 1
+    yield greedy_reduce(net, terms, use_delta_y=True, certify=True), terms
+    yield greedy_reduce(cycle(24), {0, 12}, certify=True), {0, 12}
+    yield greedy_reduce(ladder(8), {0, 15}, use_delta_y=True, certify=True), {0, 15}
+    yield greedy_reduce(fan(10, 3), {0, 9}, use_delta_y=True, certify=True), {0, 9}
+    yield fan_chain_reduce(12, 2, certify=True).trace, {0, 12, 13}
+    # a triangle 0-1-2 with the block 2-3-4 hanging off vertex 2
+    pendant = ResistorNetwork.build(
+        5, [(0, 1, 1), (1, 2, 2), (0, 2, 3), (2, 3, 1), (3, 4, 2), (2, 4, 5)]
+    )
+    trace = greedy_reduce(pendant, {0, 1}, certify=True)
+    assert "eliminate_block" in {s.kind for s in trace.steps}
+    yield trace, {0, 1}
+
+
+def test_greedy_certificates_all_equal():
+    # the step-by-step proof against the brute force: every state's own table
+    for trace, terms in _certified_runs():
+        first = trace.certificates[0]
+        assert len(trace.certificates) == len(trace.steps) + 1
+        assert all(table == first for table in trace.certificates)
+        net = trace.initial
+        assert terminal_table(net, terms) == first
+        for step in trace.steps:
+            net = apply_step(net, step)
+            assert terminal_table(net, terms) == first
+
+
+def test_certified_trace_solves_two_tables(monkeypatch):
+    solved = []
+
+    def counted(net, terminals):
+        solved.append(net)
+        return terminal_table(net, terminals)
+
+    monkeypatch.setattr(reduction, "terminal_table", counted)
+    trace = greedy_reduce(cycle(24), {0, 12}, certify=True)
+    assert solved == [trace.initial, trace.final]
+    solved.clear()
+    trace = fan_chain_reduce(12, 2, certify=True).trace
+    assert solved == [trace.initial, trace.final]
+
+
+def test_tampered_step_fails_its_proof(monkeypatch):
+    honest = reduction.series_reduce
+
+    def off_by_a_seventh(net, mid, terminals=frozenset()):
+        step = honest(net, mid, terminals)
+        (e,) = step.added_edges
+        return replace(step, added_edges=(Edge(e.u, e.v, e.r + Fraction(1, 7)),))
+
+    monkeypatch.setattr(reduction, "series_reduce", off_by_a_seventh)
+    with pytest.raises(ReductionError, match=r"step 1 \(series\) changes a resistance"):
+        greedy_reduce(cycle(8), {0, 4}, certify=True)
+
+
+def test_final_network_is_checked_against_the_first(monkeypatch):
+    # the first step's result gains an edge that no step records: every
+    # step holds, the final network does not
+    honest, start = reduction.apply_step, cycle(8)
+
+    def with_a_shortcut(net, step):
+        out = honest(net, step)
+        if net is not start:
+            return out
+        return ResistorNetwork(out.vertices, out.edges + (Edge(0, 4, 1),))
+
+    monkeypatch.setattr(reduction, "apply_step", with_a_shortcut)
+    with pytest.raises(ReductionError, match="final network changes a resistance"):
+        greedy_reduce(start, {0, 4}, certify=True)
 
 
 def test_greedy_fan_reaches_star():

@@ -50,7 +50,7 @@ def test_path_spectrum_formula_and_order():
     want = sorted((2 - 2 * math.cos(math.pi * p / n) for p in range(n)), reverse=True)
     assert np.allclose(spec.values, want, atol=1e-12)
     assert spec.values[-1] == 0.0
-    check_spectrum_against(build_laplacian(path(n), exact=False), spec)
+    check_spectrum_against(build_laplacian(path(n)), spec)
 
 
 def test_constant_vector_sits_last():
@@ -78,19 +78,19 @@ def test_cycle4_pinned_basis():
             ]
         ),
     )
-    check_spectrum_against(build_laplacian(cycle(4), exact=False), spec)
+    check_spectrum_against(build_laplacian(cycle(4)), spec)
 
 
 def test_clique2_spectrum():
     spec = network_spectrum(clique2())
     assert np.allclose(spec.values, [2.0, 0.0])
-    check_spectrum_against(build_laplacian(clique2(), exact=False), spec)
+    check_spectrum_against(build_laplacian(clique2()), spec)
 
 
 def test_general_cycle_spectrum():
     for n in (3, 5, 6, 8):
         check_spectrum_against(
-            build_laplacian(cycle(n), exact=False), cycle_spectrum(n)
+            build_laplacian(cycle(n)), cycle_spectrum(n)
         )
 
 
@@ -101,7 +101,7 @@ def test_product_spectrum_is_factor_sums():
         (float(a + b) for a in sg.values for b in sh.values), reverse=True
     )
     assert np.allclose(spec.values, want, atol=1e-12)
-    lap = build_laplacian(cartesian_product(path(3), cycle(4)), exact=False)
+    lap = build_laplacian(cartesian_product(path(3), cycle(4)))
     check_spectrum_against(lap, spec)
 
 
@@ -112,11 +112,11 @@ def test_hypercube_spectrum_entries_all_same_magnitude():
     assert np.allclose(sorted(spec.values), sorted(
         2.0 * bin(i).count("1") for i in range(2**k)
     ), atol=1e-12)
-    check_spectrum_against(build_laplacian(hypercube(k), exact=False), spec)
+    check_spectrum_against(build_laplacian(hypercube(k)), spec)
 
 
 def test_generic_spectrum_matches_structured():
-    lap = build_laplacian(ladder(4), exact=False)
+    lap = build_laplacian(ladder(4))
     gen = generic_spectrum(lap)
     structured = product_spectrum(path_spectrum(4), network_spectrum(clique2()))
     assert np.allclose(gen.values, structured.values, atol=1e-10)
@@ -169,4 +169,4 @@ def test_disconnected_spectrum_refuses_resistance():
 def test_fan_spectrum_well_conditioned():
     net = fan(6, 3)
     spec = network_spectrum(net)
-    check_spectrum_against(build_laplacian(net, exact=False), spec)
+    check_spectrum_against(build_laplacian(net), spec)
